@@ -101,6 +101,8 @@ def cmd_decide(args) -> int:
 
 
 def cmd_color(args) -> int:
+    if args.k < 1:
+        raise ValueError("k must be >= 1")
     forest, name = _load_instance(args.input)
     strict = args.strategy == "proof-strict"
     if args.k == 1:
@@ -194,9 +196,6 @@ def cmd_chromatic(args) -> int:
 
 def cmd_check_theorems(args) -> int:
     which = [w.strip() for w in args.which.split(",") if w.strip()]
-    for w in which:
-        if w not in SUITES:
-            raise ValueError(f"unknown suite {w!r}; choose from {', '.join(SUITES)}")
     reports = run_checks(which, max_n=args.max_n, shards=args.shards,
                          shard_index=args.shard_index)
     counterexamples = []
@@ -321,8 +320,10 @@ def build_parser() -> argparse.ArgumentParser:
                         + ", ".join(f"{k}<={v}" for k, v in SUITE_MAX_N.items()) + ")")
     p.add_argument("--which", default=",".join(SUITES),
                    help="comma-separated subset of " + ",".join(SUITES))
+    # argparse converts a string default with `type` only when this
+    # subcommand is chosen, so a bad value is a usage error here alone
     p.add_argument("--shards", type=int,
-                   default=int(os.environ.get(SHARDS_ENV, "1")),
+                   default=os.environ.get(SHARDS_ENV, "1"),
                    help=f"split enumeration into this many ranges (env {SHARDS_ENV})")
     p.add_argument("--shard-index", type=int, default=0)
     common(p)

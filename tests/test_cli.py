@@ -4,6 +4,7 @@ import io
 import json
 
 import jsonschema
+import pytest
 
 import equiforest.cli as cli
 from equiforest.cli import main, run_report_schema
@@ -72,6 +73,11 @@ class TestColorCommand:
     def test_not_colorable_exit_1(self, capsys):
         assert run(capsys, "color", "--k", "3", "family:star:5")[0] == 1
 
+    def test_k0_usage_error_exit_2(self, capsys):
+        code, _, err = run(capsys, "color", "--k", "0", "family:path:4")
+        assert code == 2
+        assert "k must be >= 1" in err
+
     def test_k2_realization(self, capsys):
         code, out, _ = run(capsys, "color", "--k", "2", "family:path:4")
         assert code == 0 and "two-sides" in out
@@ -135,6 +141,17 @@ class TestCheckTheoremsCommand:
         parser = cli.build_parser()
         args = parser.parse_args(["check-theorems", "--which", "equiv"])
         assert args.shards == 2
+
+    def test_bad_shards_env_is_usage_error_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setenv(cli.SHARDS_ENV, "x")
+        with pytest.raises(SystemExit) as exc:
+            main(["check-theorems", "--which", "equiv"])
+        assert exc.value.code == 2
+        assert "--shards" in capsys.readouterr().err
+
+    def test_bad_shards_env_ignored_by_other_commands(self, capsys, monkeypatch):
+        monkeypatch.setenv(cli.SHARDS_ENV, "x")
+        assert run(capsys, "decide", "--k", "3", "family:paper3path:3")[0] == 0
 
     def test_max_n_out_of_range_exit_2(self, capsys):
         code, _, err = run(capsys, "check-theorems", "--max-n", "9", "--which", "main")

@@ -18,7 +18,13 @@ from equiforest import (
 )
 from equiforest.generators import FamilySpec, gen_family
 
-from conftest import component_profiles, forest_from_profile, forests
+from conftest import (
+    all_labeled_forests,
+    component_profiles,
+    forest_from_profile,
+    forests,
+)
+from reference_side_choice import reference_select_bipartition
 
 
 class TestParse:
@@ -140,6 +146,20 @@ class TestBipartition:
             got = select_bipartition(f)
             got.check(f)
             assert got.in_a == tuple(expected_in_a), (parts, best)
+
+    def test_matches_reference_table_dp_on_all_labeled_forests(self):
+        for n in range(8):
+            for f in all_labeled_forests(n):
+                assert select_bipartition(f) == reference_select_bipartition(f), f
+
+    def test_matches_reference_table_dp_on_random_forests(self):
+        # seeded random forests with n < 300 and every share of
+        # singletons, from one tree (c = 1) to an edgeless forest (c = n)
+        for seed in range(400):
+            n = 1 + (seed * 2654435761) % 299
+            c = 1 + (seed * 40503) % n
+            f = gen_family(FamilySpec("random_forest", (n, c), seed))
+            assert select_bipartition(f) == reference_select_bipartition(f), (n, c, seed)
 
 
 class TestLeavesIn:
