@@ -61,15 +61,13 @@ def max_degree_vertices(forest: Forest) -> tuple[int, ...]:
     )
 
 
-def decide(forest: Forest, k: int, *, check_all_vertices: bool = False) -> DecisionReport:
+def decide(forest: Forest, k: int) -> DecisionReport:
     """Is the forest equitably k-colorable, for k >= 3?
 
-    Fast path: a vertex violating the floor(n/k) threshold forces more
-    than 3 classes and must then be the unique maximum-degree vertex, so
-    only maximum-degree vertices are tested, and two or more of them
-    already settle the answer as yes.  With check_all_vertices=True every
-    vertex is tested and the two answers are asserted to agree (debug
-    mode).
+    A vertex violating the floor(n/k) threshold forces more than 3
+    classes and must then be the unique maximum-degree vertex, so only
+    maximum-degree vertices are tested, and two or more of them already
+    settle the answer as yes.
     """
     if k < 3:
         raise ValueError("decide handles k >= 3; use decide2/decide1")
@@ -94,18 +92,6 @@ def decide(forest: Forest, k: int, *, check_all_vertices: bool = False) -> Decis
                 witness_vertex=v, witness_alpha=av,
             )
             break
-    if check_all_vertices:
-        slow = True
-        bad = None
-        for x in range(n):
-            ax = alpha_x(forest, x)
-            if ax < threshold:
-                slow, bad = False, (x, ax)
-                break
-        if slow != verdict.colorable:
-            raise AssertionError(
-                f"fast path disagrees with full scan: fast={verdict}, slow={bad}"
-            )
     return verdict
 
 

@@ -41,7 +41,7 @@ from .oracle import (
     num_labeled_trees,
     oracle_exists,
 )
-from .stability import alpha_x, major_vertex_check
+from .stability import alpha_profile, major_vertex_check
 
 SUITES = ("main", "lemma", "bg", "cl2", "cl3", "equiv")
 SUITE_MAX_N = {"main": 8, "lemma": 9, "bg": 10, "cl2": 10, "cl3": 10, "equiv": 64}
@@ -87,9 +87,13 @@ def _payload(forest: Forest, detail: str, k: int | None = None) -> dict:
     return entry
 
 
-def _shard_range(total: int, shards: int, shard_index: int) -> tuple[int, int]:
+def _check_shards(shards: int, shard_index: int) -> None:
     if shards < 1 or not 0 <= shard_index < shards:
         raise ValueError("need shards >= 1 and 0 <= shard_index < shards")
+
+
+def _shard_range(total: int, shards: int, shard_index: int) -> tuple[int, int]:
+    _check_shards(shards, shard_index)
     step = -(-total // shards)
     lo = min(step * shard_index, total)
     return lo, min(lo + step, total)
@@ -332,10 +336,11 @@ def _cl3_check(forest: Forest, thorough: bool) -> dict | None:
     if abs(len(even) - len(odd)) <= 1:
         return None
     n = forest.n
-    thresholds = set()
-    for v in max_degree_vertices(forest):
-        av = alpha_x(forest, v)
-        thresholds.add(max(3, (n + av + 1) // (av + 1)))
+    profile = alpha_profile(forest)
+    thresholds = {
+        max(3, (n + profile[v] + 1) // (profile[v] + 1))
+        for v in max_degree_vertices(forest)
+    }
     if len(thresholds) != 1:
         # raw bounds may differ below the clamp at 3, but the clamped
         # threshold must not depend on which max-degree vertex is used
@@ -373,12 +378,14 @@ def run_checks(which, max_n: int | None = None, shards: int = 1,
     """Run a subset of suites.
 
     max_n above a suite's cap is clamped, but a max_n no suite in the
-    selection supports is rejected outright.
+    selection supports is rejected outright, and so are shard arguments
+    out of range even when no selected suite is sharded.
     """
     which = list(which)
     for name in which:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
+    _check_shards(shards, shard_index)
     if max_n is not None and which and max_n > max(SUITE_MAX_N[s] for s in which):
         raise ValueError(
             f"max_n={max_n} out of range for suites {which}"

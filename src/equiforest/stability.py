@@ -2,123 +2,130 @@
 the coloring-number lower bound they induce, and a size-constrained
 stable-set search that minimizes overlap with one bipartition side.
 
-All dynamic programs run iteratively over a rooted orientation (root =
-smallest id per component) so deep path-like trees cannot hit recursion
-limits, and all arithmetic is exact integer arithmetic.
+Stability numbers come from one take/skip pass (each component rooted
+at its smallest id, or at a chosen vertex), and every alpha_x at once
+from one more rerooting pass.  All dynamic programs run iteratively so
+deep path-like trees cannot hit recursion limits, with exact integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .forest import Bipartition, Forest
 
 _INF = 1 << 30
 
 
-def _component_dp(adjacency, alive, visited, parent, in_take, out_take, root):
-    """Fill the take/skip tables for root's component; returns its DFS order."""
-    visited[root] = 1
-    order = [root]
-    stack = [root]
-    while stack:
-        u = stack.pop()
-        for w in adjacency[u]:
-            if not visited[w] and (alive is None or alive[w]):
-                visited[w] = 1
-                parent[w] = u
-                order.append(w)
-                stack.append(w)
-    for u in reversed(order):
-        taken = 1
-        skipped = 0
-        p = parent[u]
-        for w in adjacency[u]:
-            if w != p and (alive is None or alive[w]):
-                taken += out_take[w]
-                iw = in_take[w]
-                ow = out_take[w]
-                skipped += iw if iw > ow else ow
-        in_take[u] = taken
-        out_take[u] = skipped
-    return order
+def _take_skip(adjacency, first: int | None = None):
+    """Root every component and fill its take/skip tables in one pass.
 
-
-def _mis_size(adjacency, alive=None) -> int:
-    """Maximum stable-set size over the vertices marked alive (all if None)."""
+    Each component is rooted at its smallest id, except the one holding
+    `first`, which is rooted at `first`.  Returns (order, parent, take,
+    skip, total): `order` lists every vertex after its parent (roots have
+    parent -1) with each component contiguous, take[u] / skip[u] are the
+    largest stable sets in u's subtree with and without u, and `total` is
+    the stability number of the whole forest.
+    """
     n = len(adjacency)
-    visited = bytearray(n)
-    in_take = [0] * n
-    out_take = [0] * n
     parent = [-1] * n
-    total = 0
-    for root in range(n):
-        if visited[root] or (alive is not None and not alive[root]):
+    seen = bytearray(n)
+    order: list[int] = []
+    for root in range(n) if first is None else chain((first,), range(n)):
+        if seen[root]:
             continue
-        _component_dp(adjacency, alive, visited, parent, in_take, out_take, root)
-        r_in, r_out = in_take[root], out_take[root]
-        total += r_in if r_in > r_out else r_out
-    return total
-
-
-def _mis_witness(adjacency, alive=None) -> list[int]:
-    """One maximum stable set; ties prefer including the vertex closer to
-    its component root (roots are the smallest ids), so the result is
-    deterministic and biased toward small ids."""
-    n = len(adjacency)
-    visited = bytearray(n)
-    in_take = [0] * n
-    out_take = [0] * n
-    parent = [-1] * n
-    chosen: list[int] = []
-    for root in range(n):
-        if visited[root] or (alive is not None and not alive[root]):
-            continue
-        _component_dp(adjacency, alive, visited, parent, in_take, out_take, root)
-        walk = [(root, True)]
-        while walk:
-            u, allowed = walk.pop()
-            take_u = allowed and in_take[u] >= out_take[u]
-            if take_u:
-                chosen.append(u)
+        seen[root] = 1
+        stack = [root]
+        while stack:
+            u = stack.pop()
+            order.append(u)
             for w in adjacency[u]:
-                if parent[w] == u and (alive is None or alive[w]):
-                    walk.append((w, not take_u))
-    return chosen
+                if not seen[w]:
+                    seen[w] = 1
+                    parent[w] = u
+                    stack.append(w)
+    take = [1] * n
+    skip = [0] * n
+    total = 0
+    for u in reversed(order):
+        tu, su = take[u], skip[u]
+        best = tu if tu > su else su
+        p = parent[u]
+        if p < 0:
+            total += best
+        else:
+            take[p] += su
+            skip[p] += best
+    return order, parent, take, skip, total
+
+
+def _witness(order, parent, take, skip, first: int | None = None) -> frozenset[int]:
+    """Walk down the tables: take u when its parent is not taken and
+    take[u] >= skip[u]; `first` (a root) is always taken."""
+    chosen = bytearray(len(parent))
+    for u in order:
+        p = parent[u]
+        if u == first or ((p < 0 or not chosen[p]) and take[u] >= skip[u]):
+            chosen[u] = 1
+    return frozenset(u for u in order if chosen[u])
 
 
 def alpha(forest: Forest) -> int:
     """Stability number: the maximum size of a stable set."""
-    return _mis_size(forest.adjacency)
+    *_, total = _take_skip(forest.adjacency)
+    return total
 
 
 def max_stable_set(forest: Forest) -> frozenset[int]:
-    """One maximum stable set (deterministic witness for alpha)."""
-    return frozenset(_mis_witness(forest.adjacency))
-
-
-def _alive_without_closed_neighborhood(forest: Forest, x: int) -> bytearray:
-    alive = bytearray([1]) * forest.n
-    alive[x] = 0
-    for w in forest.adjacency[x]:
-        alive[w] = 0
-    return alive
+    """One maximum stable set; ties prefer including the vertex closer to
+    its component root (roots are the smallest ids), so the result is
+    deterministic and biased toward small ids."""
+    order, parent, take, skip, _ = _take_skip(forest.adjacency)
+    return _witness(order, parent, take, skip)
 
 
 def alpha_x(forest: Forest, x: int) -> int:
-    """Maximum size of a stable set containing x: 1 plus the stability
-    number of the forest with the closed neighborhood of x removed."""
+    """Maximum size of a stable set containing x: take[x] with x's
+    component rooted at x, plus the other components' stability."""
     if not 0 <= x < forest.n:
         raise ValueError(f"vertex {x} out of range")
-    return 1 + _mis_size(forest.adjacency, _alive_without_closed_neighborhood(forest, x))
+    _, _, take, skip, total = _take_skip(forest.adjacency, x)
+    return total - max(take[x], skip[x]) + take[x]
 
 
 def max_stable_set_containing(forest: Forest, x: int) -> frozenset[int]:
-    """Deterministic witness for alpha_x."""
+    """Deterministic witness for alpha_x: the max_stable_set walk with x's
+    component rooted at x and x forced in."""
     if not 0 <= x < forest.n:
         raise ValueError(f"vertex {x} out of range")
-    rest = _mis_witness(forest.adjacency, _alive_without_closed_neighborhood(forest, x))
-    return frozenset([x, *rest])
+    order, parent, take, skip, _ = _take_skip(forest.adjacency, x)
+    return _witness(order, parent, take, skip, x)
+
+
+def alpha_profile(forest: Forest) -> list[int]:
+    """alpha_x for every vertex x, in O(n) overall.
+
+    One take/skip pass, then a top-down pass rerooting the tables: once
+    p's entries cover its whole component, removing child u's subtree
+    from them and adding the rest to u's entries makes u's cover it too.
+    """
+    order, parent, take, skip, total = _take_skip(forest.adjacency)
+    profile = [0] * forest.n
+    rest = 0  # stability of the components other than the current one
+    for u in order:
+        p = parent[u]
+        tu, su = take[u], skip[u]
+        best = tu if tu > su else su
+        if p < 0:
+            rest = total - best
+        else:
+            pt = take[p] - su
+            ps = skip[p] - best
+            take[u] = tu = tu + ps
+            skip[u] = su + (pt if pt > ps else ps)
+        profile[u] = tu + rest
+    return profile
 
 
 @dataclass(frozen=True)
@@ -139,12 +146,10 @@ def lower_bound(forest: Forest) -> LowerBoundReport:
     n = forest.n
     if n == 0:
         return LowerBoundReport(0, None, None)
-    adjacency = forest.adjacency
     best = 0
     best_vertex = None
     best_alpha = None
-    for x in range(n):
-        ax = alpha_x(forest, x)
+    for x, ax in enumerate(alpha_profile(forest)):
         bound = (n + ax + 1) // (ax + 1)  # ceil((n+1)/(ax+1)), exact integers
         if bound > best:
             best, best_vertex, best_alpha = bound, x, ax
@@ -175,10 +180,7 @@ def major_vertex_check(forest: Forest) -> MajorVertexReport:
     n = forest.n
     if n == 0:
         raise ValueError("major vertex check needs n >= 1")
-    bounds = []
-    for x in range(n):
-        ax = alpha_x(forest, x)
-        bounds.append((n + ax + 1) // (ax + 1))
+    bounds = [(n + ax + 1) // (ax + 1) for ax in alpha_profile(forest)]
     top = max(bounds)
     high = tuple(x for x in range(n) if bounds[x] > 3)
     if not high:

@@ -94,6 +94,15 @@ def all_labeled_forests(n: int):
                 continue
 
 
+def seeded_random_forests():
+    """400 seeded random forests with n < 300 and every share of
+    singletons, from one tree (c = 1) to an edgeless forest (c = n)."""
+    for seed in range(400):
+        n = 1 + (seed * 2654435761) % 299
+        c = 1 + (seed * 40503) % n
+        yield gen_family(FamilySpec("random_forest", (n, c), seed))
+
+
 def forest_from_profile(parts) -> Forest:
     """Disjoint union of components realizing the given (x, y) side
     profiles: (1, 0) is a singleton, otherwise a double star whose

@@ -136,6 +136,12 @@ class TestCheckTheoremsCommand:
                            "--which", "cl3", "--shards", "2", "--shard-index", "1")
         assert code == 0
 
+    @pytest.mark.parametrize("flags", [("--shards", "0"), ("--shard-index", "5")])
+    def test_bad_shard_args_exit_2_even_for_equiv_only(self, capsys, flags):
+        code, _, err = run(capsys, "check-theorems", "--which", "equiv", *flags)
+        assert code == 2
+        assert "need shards >= 1 and 0 <= shard_index < shards" in err
+
     def test_shards_env_default(self, capsys, monkeypatch):
         monkeypatch.setenv(cli.SHARDS_ENV, "2")
         parser = cli.build_parser()

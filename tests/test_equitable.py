@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equiforest import (
+    alpha_profile,
     class_sizes,
     decide,
     decide1,
@@ -21,7 +22,7 @@ from equiforest import (
 )
 from equiforest.generators import FamilySpec, gen_family
 
-from conftest import forests
+from conftest import all_labeled_forests, forests
 
 
 def path(n):
@@ -77,13 +78,16 @@ class TestDecide:
     def test_fast_path_agrees_with_full_scan_exhaustive(self):
         for n in range(3, 8):
             for f in enumerate_labeled_trees(n):
+                profile = alpha_profile(f)
                 for k in (3, n):
-                    decide(f, k, check_all_vertices=True)
+                    expected = all(a >= f.n // k for a in profile)
+                    assert decide(f, k).colorable == expected
 
     @settings(max_examples=100)
     @given(forests(max_n=40), st.integers(3, 12))
     def test_fast_path_agrees_random(self, f, k):
-        decide(f, k, check_all_vertices=True)
+        expected = all(a >= f.n // k for a in alpha_profile(f))
+        assert decide(f, k).colorable == expected
 
     def test_monotone_in_k_exhaustive(self):
         for n in range(3, 8):
@@ -104,6 +108,24 @@ class TestDecide:
                         # negative verdicts always carry a checkable witness
                         assert report.witness_vertex is not None
                         assert report.witness_alpha < report.threshold == f.n // k
+
+    def test_oracle_equivalence_disconnected_forests(self):
+        # every disconnected labeled forest with 3 <= n <= 7, every k >= 3
+        forests_seen = pairs = 0
+        for n in range(3, 8):
+            for f in all_labeled_forests(n):
+                if f.num_components < 2:
+                    continue
+                forests_seen += 1
+                profile = alpha_profile(f)
+                for k in range(3, n + 1):
+                    pairs += 1
+                    report = decide(f, k)
+                    assert report.colorable == oracle_exists(f, k), (f, k)
+                    if not report.colorable:
+                        assert (report.witness_alpha == profile[report.witness_vertex]
+                                < report.threshold)
+        assert (forests_seen, pairs) == (21_982, 107_860)
 
 
 class TestDecide2:

@@ -23,6 +23,7 @@ from conftest import (
     component_profiles,
     forest_from_profile,
     forests,
+    seeded_random_forests,
 )
 from reference_side_choice import reference_select_bipartition
 
@@ -153,13 +154,8 @@ class TestBipartition:
                 assert select_bipartition(f) == reference_select_bipartition(f), f
 
     def test_matches_reference_table_dp_on_random_forests(self):
-        # seeded random forests with n < 300 and every share of
-        # singletons, from one tree (c = 1) to an edgeless forest (c = n)
-        for seed in range(400):
-            n = 1 + (seed * 2654435761) % 299
-            c = 1 + (seed * 40503) % n
-            f = gen_family(FamilySpec("random_forest", (n, c), seed))
-            assert select_bipartition(f) == reference_select_bipartition(f), (n, c, seed)
+        for f in seeded_random_forests():
+            assert select_bipartition(f) == reference_select_bipartition(f), f
 
 
 class TestLeavesIn:

@@ -2,18 +2,25 @@
 handle deep trees without recursion limits or blowup, and the side
 choice must stay linear however many components a forest has."""
 
+import json
+
 import pytest
 
 from equiforest import (
+    LowerBoundReport,
     alpha,
+    alpha_profile,
     alpha_x,
     construct,
     decide,
     decide2,
+    lower_bound,
+    major_vertex_check,
     realize2,
     select_bipartition,
     verify,
 )
+from equiforest.cli import main
 from equiforest.generators import FamilySpec, gen_family
 
 
@@ -36,6 +43,34 @@ def test_wide_star_decision():
     assert not report.colorable and report.witness_vertex == 0
     side = select_bipartition(s)
     assert (side.a, side.b) == (99_999, 1)
+
+
+def test_linear_lower_bound_and_major_vertex_scans():
+    s = gen_family(FamilySpec("star", (99_999,)))
+    assert lower_bound(s) == LowerBoundReport(50_001, 0, 1)
+    report = major_vertex_check(s)
+    assert report.applicable and report.ok and report.high_vertices == (0,)
+    p = gen_family(FamilySpec("path", (100_000,)))
+    assert lower_bound(p) == LowerBoundReport(2, 0, 50_000)
+
+
+@pytest.mark.parametrize("family,params", [
+    ("random_tree", (100_000,)),
+    ("random_forest", (100_000, 50_000)),
+])
+def test_alpha_profile_matches_alpha_x(family, params):
+    f = gen_family(FamilySpec(family, params, 1))
+    profile = alpha_profile(f)
+    hub = max(range(f.n), key=f.degree)
+    for x in (0, 1, 777, 31_415, 50_000, 99_999, hub):
+        assert profile[x] == alpha_x(f, x)
+
+
+def test_chromatic_command_on_wide_star(capsys):
+    code = main(["chromatic", "family:star:99999", "--json", "--no-timing"])
+    assert code == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["result"]["equitable_chromatic_number"] == 50_001
 
 
 def test_long_caterpillar_construction():

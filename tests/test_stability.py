@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from equiforest import (
     Bipartition,
     alpha,
+    alpha_profile,
     alpha_x,
     enumerate_labeled_trees,
     lower_bound,
@@ -19,7 +20,19 @@ from equiforest import (
 )
 from equiforest.generators import FamilySpec, gen_family
 
-from conftest import brute_min_overlap, forests
+from conftest import (
+    all_labeled_forests,
+    brute_min_overlap,
+    forests,
+    seeded_random_forests,
+)
+from reference_stability import (
+    reference_alpha,
+    reference_alpha_x,
+    reference_lower_bound,
+    reference_major_vertex_check,
+    reference_max_stable_set,
+)
 
 
 def path(n):
@@ -104,6 +117,46 @@ class TestAlphaX:
         for x in range(f.n):
             ax = alpha_x(f, x)
             assert 1 <= ax <= a
+
+
+class TestAgainstPerVertexReference:
+    """The take/skip kernel and its rerooting profile against the
+    per-vertex masked DP they replaced (tests/reference_stability.py)."""
+
+    def check(self, f):
+        expected = [reference_alpha_x(f, x) for x in range(f.n)]
+        assert alpha_profile(f) == expected, f
+        assert [alpha_x(f, x) for x in range(f.n)] == expected, f
+        assert alpha(f) == reference_alpha(f), f
+        assert max_stable_set(f) == reference_max_stable_set(f), f
+        assert lower_bound(f) == reference_lower_bound(f), f
+        if f.n:
+            assert major_vertex_check(f) == reference_major_vertex_check(f), f
+        return expected
+
+    def test_all_labeled_forests(self):
+        for n in range(8):
+            for f in all_labeled_forests(n):
+                expected = self.check(f)
+                # rooting x's component at x may break ties differently
+                # from the old masked walk, so only the witness's defining
+                # properties are pinned
+                for x in range(n):
+                    witness = max_stable_set_containing(f, x)
+                    assert x in witness and is_stable(f, witness)
+                    assert len(witness) == expected[x]
+
+    def test_seeded_random_forests(self):
+        for f in seeded_random_forests():
+            self.check(f)
+
+
+class TestAlphaProfile:
+    def test_examples(self):
+        assert alpha_profile(path(5)) == [3, 2, 3, 2, 3]
+        assert alpha_profile(star(3)) == [1, 3, 3, 3]
+        assert alpha_profile(parse_forest("3\n0 1")) == [2, 2, 2]
+        assert alpha_profile(parse_forest("0")) == []
 
 
 class TestLowerBound:
