@@ -9,7 +9,7 @@ drops the timing field so identical invocations produce identical
 bytes).  Counterexamples always carry a replayable edge list.
 
 Exit codes: 0 success/yes, 1 no/invalid/counterexamples found, 2 input
-or usage error, 3 strict-mode construction failure.
+or usage error, 3 construction step failure.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import time
 from importlib import resources
 
 from .constructor import (
+    EquitableColoring,
     NotColorableError,
     ProofStepError,
     construct,
@@ -104,17 +105,13 @@ def cmd_color(args) -> int:
     if args.k < 1:
         raise ValueError("k must be >= 1")
     forest, name = _load_instance(args.input)
-    strict = args.strategy == "proof-strict"
     if args.k == 1:
         outcome = decide1(forest)
         if not outcome.colorable:
             print(f"{name}: not equitably 1-colorable", file=sys.stderr)
             return 1
-        coloring = parse_coloring_text(
-            "".join(f"{v} 1\n" for v in range(forest.n)), forest.n, 1
-        )
+        coloring = EquitableColoring(1, (1,) * forest.n)
         branch = "edgeless"
-        fallback = False
     elif args.k == 2:
         outcome = decide2(forest)
         if not outcome.colorable:
@@ -122,21 +119,18 @@ def cmd_color(args) -> int:
             return 1
         coloring = realize2(forest, outcome)
         branch = "two-sides"
-        fallback = False
     else:
         try:
-            coloring, trace = construct(forest, args.k, strict=strict)
+            coloring, trace = construct(forest, args.k)
         except NotColorableError:
             print(f"{name}: not equitably {args.k}-colorable", file=sys.stderr)
             return 1
         except ProofStepError as exc:
-            print(f"{name}: construction step failed in strict mode: {exc}",
-                  file=sys.stderr)
+            print(f"{name}: construction step failed: {exc}", file=sys.stderr)
             if exc.trace is not None:
                 print(f"  trace: {exc.trace}", file=sys.stderr)
             return 3
         branch = trace.branch
-        fallback = trace.fallback_used
     text = format_coloring(coloring)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
@@ -145,7 +139,7 @@ def cmd_color(args) -> int:
         "k": coloring.k,
         "n": forest.n,
         "branch": branch,
-        "fallback_used": fallback,
+        "fallback_used": False,  # always false; kept for report readers
         "sizes": sorted(coloring.sizes()),
         "assignment": list(coloring.assignment),
     }
@@ -295,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("color", help="construct an equitable k-coloring")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--strategy", choices=("proof", "proof-strict"), default="proof")
     p.add_argument("--output", help="write the coloring to this file")
     p.add_argument("input")
     common(p)

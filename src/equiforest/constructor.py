@@ -4,10 +4,8 @@ deterministically; also realizes 2-colorings from decision witnesses and
 verifies colorings against the definition.
 
 Every feasibility condition the construction relies on is checked as it
-is used.  A failed check means a transcription bug, not a hard instance:
-by default a bounded backtracking search then completes the coloring and
-the trace records ``fallback_used=True`` so tests can flag the defect;
-strict mode raises instead.
+is used.  A failed check means a transcription bug, not a hard instance,
+so it raises ProofStepError with the partial trace.
 """
 
 from __future__ import annotations
@@ -16,10 +14,7 @@ from dataclasses import dataclass, replace
 
 from .equitable import class_sizes, decide
 from .forest import Forest, component_sides, leaves_in, select_bipartition
-from .oracle import SearchBudgetExceeded, backtrack_equitable
 from .stability import stable_set_of_size_min_b
-
-FALLBACK_NODE_LIMIT = 10**6
 
 BRANCH_EMPTY = "empty"
 BRANCH_EQUALITY = "equality"
@@ -33,25 +28,11 @@ class NotColorableError(ValueError):
     """construct() called on an instance the decision rejects."""
 
 
-class ConstructionError(RuntimeError):
-    """Base for internal construction failures; carries the partial trace."""
+class ProofStepError(RuntimeError):
+    """A feasibility condition of the construction failed; carries the
+    partial trace."""
 
-    def __init__(self, message: str, trace: "ConstructionTrace | None" = None):
-        super().__init__(message)
-        self.trace = trace
-
-
-class ProofStepError(ConstructionError):
-    """Strict mode: a feasibility condition of the construction failed."""
-
-
-class InternalInconsistencyError(ConstructionError):
-    """The fallback search could not complete a coloring the decision
-    procedure promised to exist."""
-
-
-class _StepFailed(Exception):
-    def __init__(self, message: str, trace: "ConstructionTrace"):
+    def __init__(self, message: str, trace: "ConstructionTrace | None"):
         super().__init__(message)
         self.trace = trace
 
@@ -85,7 +66,8 @@ class ConstructionTrace:
     pivot branches).  top_fill / bottom_fill: A-vertices (leaves, in the
     harvest branch) completing the largest / smallest class.  pivot and
     pivot_set: the donor vertex whose stable set seeds the smallest
-    class, and that stable set.
+    class, and that stable set.  fallback_used: always False; a failed
+    step raises instead, and the field stays for report compatibility.
     """
 
     branch: str
@@ -147,7 +129,7 @@ def _chunk(assignment, vertices, classes, sizes, trace):
             assignment[v] = cls
         pos += size
     if pos != len(vertices):
-        raise _StepFailed(
+        raise ProofStepError(
             f"chunking mismatch: {len(vertices)} vertices for {pos} class slots",
             trace,
         )
@@ -155,52 +137,25 @@ def _chunk(assignment, vertices, classes, sizes, trace):
 
 def _require(condition: bool, message: str, trace: ConstructionTrace) -> None:
     if not condition:
-        raise _StepFailed(message, trace)
+        raise ProofStepError(message, trace)
 
 
-def construct(
-    forest: Forest, k: int, *, strict: bool = False
-) -> tuple[EquitableColoring, ConstructionTrace]:
+def construct(forest: Forest, k: int) -> tuple[EquitableColoring, ConstructionTrace]:
     """Deterministic equitable k-coloring of a yes-instance, k >= 3.
 
-    Raises NotColorableError when the decision procedure says no,
-    ProofStepError in strict mode when a construction step's feasibility
-    check fails, and InternalInconsistencyError when the (non-strict)
-    fallback search cannot repair such a failure.
+    Raises NotColorableError when the decision procedure says no and
+    ProofStepError when a construction step's feasibility check fails.
     """
     if k < 3:
         raise ValueError("construct handles k >= 3")
     if not decide(forest, k).colorable:
         raise NotColorableError(f"forest is not equitably {k}-colorable")
-    if forest.n == 0:
-        return EquitableColoring(k, ()), ConstructionTrace(branch=BRANCH_EMPTY)
-    try:
-        return _construct_from_proof(forest, k)
-    except _StepFailed as exc:
-        if strict:
-            raise ProofStepError(str(exc), exc.trace) from None
-        try:
-            assignment = backtrack_equitable(forest, k, node_limit=FALLBACK_NODE_LIMIT)
-        except SearchBudgetExceeded:
-            raise InternalInconsistencyError(
-                f"fallback search exhausted after step failure: {exc}", exc.trace
-            ) from None
-        if assignment is None:
-            raise InternalInconsistencyError(
-                f"fallback search found no coloring after step failure: {exc}",
-                exc.trace,
-            ) from None
-        return (
-            EquitableColoring(k, assignment),
-            replace(exc.trace, fallback_used=True),
-        )
-
-
-def _construct_from_proof(forest: Forest, k: int):
     n = forest.n
+    if n == 0:
+        return EquitableColoring(k, ()), ConstructionTrace(branch=BRANCH_EMPTY)
     sizes = class_sizes(n, k).sizes
     side = select_bipartition(forest)
-    a, b = side.a, side.b
+    b = side.b
     vertices_a = sorted(side.side_a())
     vertices_b = sorted(side.side_b())
 
@@ -416,7 +371,7 @@ def _pivot_branch(forest, k, sizes, side, assignment, vertices_a, vertices_b,
 def _final_check(forest, coloring, trace):
     report = verify(forest, coloring)
     if not report.ok:
-        raise _StepFailed(
+        raise ProofStepError(
             f"assembled coloring violates the definition: {report}", trace
         )
 
@@ -441,6 +396,8 @@ def parse_coloring_text(text: str, n: int, k: int | None = None) -> EquitableCol
         v, c = int(tokens[0]), int(tokens[1])
         if not 0 <= v < n:
             raise ValueError(f"line {lineno}: vertex {v} out of range")
+        if c < 1:
+            raise ValueError(f"line {lineno}: class {c} below 1")
         if classes[v]:
             raise ValueError(f"line {lineno}: vertex {v} assigned twice")
         classes[v] = c

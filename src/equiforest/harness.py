@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations, product
 
-from .constructor import construct, realize2, verify
+from .constructor import ProofStepError, construct, realize2, verify
 from .equitable import decide, decide2, max_degree_vertices
 from .forest import Forest, component_sides, serialize_forest
 from .oracle import (
@@ -216,8 +216,8 @@ def check_main(max_n: int = 8, shards: int = 1, shard_index: int = 0,
 
     With construct_yes=True every yes-instance (including k = 2 ones,
     through their orientation witnesses) is also constructed and
-    verified; fallback activations count as counterexamples.  `checked`
-    counts only the k >= 3 pairs.
+    verified; a failed construction step counts as a counterexample.
+    `checked` counts only the k >= 3 pairs.
     """
     if not 3 <= max_n <= SUITE_MAX_N["main"]:
         raise ValueError(f"main supports max_n in 3..{SUITE_MAX_N['main']}")
@@ -253,15 +253,17 @@ def check_main(max_n: int = 8, shards: int = 1, shard_index: int = 0,
                 if k == 3 and colorable2 and not verdict:
                     two_color_gap += 1
                 if construct_yes and verdict:
-                    coloring, trace = construct(forest, k)
+                    try:
+                        coloring, _ = construct(forest, k)
+                    except ProofStepError as exc:
+                        report.counterexamples.append(
+                            _payload(forest, f"construction step failed: {exc}", k)
+                        )
+                        continue
                     outcome = verify(forest, coloring)
                     if not outcome.ok:
                         report.counterexamples.append(
                             _payload(forest, f"construction invalid: {outcome}", k)
-                        )
-                    elif trace.fallback_used:
-                        report.counterexamples.append(
-                            _payload(forest, "construction used fallback", k)
                         )
     report.notes.append(f"k=2 decisions compared with the oracle: {two_color_pairs}")
     report.notes.append(

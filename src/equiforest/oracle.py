@@ -19,10 +19,6 @@ class OracleLimitError(ValueError):
     """Instance too large for the brute-force oracle."""
 
 
-class SearchBudgetExceeded(RuntimeError):
-    """Backtracking search hit its node limit before finishing."""
-
-
 def _check_size(forest: Forest) -> None:
     if forest.n > ORACLE_MAX_N:
         raise OracleLimitError(
@@ -45,16 +41,13 @@ def _size_multiset(n: int, k: int) -> list[int]:
     return [base] * (k - extra) + [base + 1] * extra
 
 
-def backtrack_equitable(
-    forest: Forest, k: int, node_limit: int | None = None
-) -> tuple[int, ...] | None:
+def backtrack_equitable(forest: Forest, k: int) -> tuple[int, ...] | None:
     """Search for a proper coloring whose class sizes differ by at most one.
 
     Vertices are tried in degree-descending order; classes are capped by
     the exact size multiset, and empty classes with equal caps are
     interchangeable so only the first is tried.  Returns a vertex ->
-    class (1..k) assignment or None.  Raises SearchBudgetExceeded when
-    `node_limit` search nodes were expanded without an answer.
+    class (1..k) assignment or None.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -67,15 +60,10 @@ def backtrack_equitable(
     counts = [0] * k
     class_masks = [0] * k
     assignment = [0] * n
-    nodes = 0
 
     def place(i: int) -> bool:
-        nonlocal nodes
         if i == n:
             return True
-        nodes += 1
-        if node_limit is not None and nodes > node_limit:
-            raise SearchBudgetExceeded(f"no coloring within {node_limit} nodes")
         v = order[i]
         bit = 1 << v
         amask = masks[v]

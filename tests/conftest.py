@@ -8,10 +8,20 @@ library's dynamic programs.
 from __future__ import annotations
 
 import itertools
+import random
+from collections import Counter
 
 import hypothesis.strategies as st
 
-from equiforest import Forest, ForestError
+from equiforest import (
+    Forest,
+    ForestError,
+    ProofStepError,
+    construct,
+    decide,
+    select_bipartition,
+    verify,
+)
 from equiforest.generators import FamilySpec, gen_family
 
 
@@ -101,6 +111,72 @@ def seeded_random_forests():
         n = 1 + (seed * 2654435761) % 299
         c = 1 + (seed * 40503) % n
         yield gen_family(FamilySpec("random_forest", (n, c), seed))
+
+
+def random_bipartite_tree(a: int, b: int, rng: random.Random):
+    """Edges of a uniform spanning tree of K_{a,b}, by Wilson's
+    loop-erased random walk; vertices 0..a-1 form one side and
+    a..a+b-1 the other (a, b >= 1)."""
+    n = a + b
+    in_tree = [False] * n
+    parent = [-1] * n
+    in_tree[rng.randrange(n)] = True
+    for start in range(n):
+        u = start
+        while not in_tree[u]:  # walk until the tree is hit; loops erase
+            parent[u] = rng.randrange(a, n) if u < a else rng.randrange(a)
+            u = parent[u]
+        u = start
+        while not in_tree[u]:
+            in_tree[u] = True
+            u = parent[u]
+    return [(u, parent[u]) for u in range(n) if parent[u] >= 0]
+
+
+def leaf_heavy_forest(seed: int) -> Forest:
+    """A seeded forest aimed at the leaf branches (b < floor(n/k)): a
+    uniform spanning tree of K_{a,b} with a >= b; for about three seeds in
+    four, extra leaves on one hub of the b-side and a few on other b-side
+    vertices; then up to three isolated vertices and a random relabeling."""
+    rng = random.Random(seed)
+    b = rng.randint(1, 6)
+    a = rng.randint(b, 3 * b + 3)
+    edges = random_bipartite_tree(a, b, rng)
+    n = a + b
+    if rng.random() < 0.75:
+        hub = rng.randrange(a, n)
+        extra = [hub] * rng.randint(1, 2 * (a + b))
+        extra += [rng.randrange(a, n) for _ in range(rng.randint(0, b))]
+        for v in extra:
+            edges.append((v, n))
+            n += 1
+    n += rng.randint(0, 3)
+    label = list(range(n))
+    rng.shuffle(label)
+    return Forest.from_edges(n, [(label[u], label[v]) for u, v in edges])
+
+
+def leaf_branch_sweep(count: int):
+    """Construct and verify every pair (leaf_heavy_forest(seed), k) with
+    seed < count, k in 3..8, b < floor(n/k) and a yes decision.  Returns
+    the branch histogram and a list of (seed, k, reason) failures."""
+    branches = Counter()
+    failures = []
+    for seed in range(count):
+        forest = leaf_heavy_forest(seed)
+        b = select_bipartition(forest).b
+        for k in range(3, 9):
+            if b >= forest.n // k or not decide(forest, k).colorable:
+                continue
+            try:
+                coloring, trace = construct(forest, k)
+            except ProofStepError as exc:
+                failures.append((seed, k, f"step failed: {exc}"))
+                continue
+            if not verify(forest, coloring).ok:
+                failures.append((seed, k, "coloring invalid"))
+            branches[trace.branch] += 1
+    return branches, failures
 
 
 def forest_from_profile(parts) -> Forest:

@@ -31,6 +31,8 @@ from equiforest.harness import (
 )
 from equiforest.oracle import num_labeled_trees
 
+from conftest import leaf_branch_sweep
+
 pytestmark = pytest.mark.acceptance
 
 EXPECTED_TREES = sum(num_labeled_trees(n) for n in range(3, 9))
@@ -124,14 +126,23 @@ def test_criterion_3_construction_soundness(main_sweep, two_color_sweep):
                 invalid.append((seed, k))
             if trace.fallback_used:
                 fallbacks.append((seed, k))
+    # random forests almost never reach b < floor(n/k), where the harvest
+    # and pivot branches live; leaf-heavy K_{a,b} forests do
+    branches, leaf_failures = leaf_branch_sweep(100_000)
+    leaf_counts = [branches[b] for b in ("harvest", "pivot-single", "pivot-multi")]
     elapsed = time.perf_counter() - start
-    ok = not construction_bugs and not realize_failures and not invalid and not fallbacks
+    ok = (
+        not construction_bugs and not realize_failures and not invalid
+        and not fallbacks and not leaf_failures and min(leaf_counts) >= 10_000
+    )
     report_line(
-        3, "construct verifies with zero fallbacks on every yes-instance", ok,
+        3, "construct verifies on every yes-instance, no step fails", ok,
         f"(exhaustive n<=8 yes-pairs + 10^4 k=2 realizations + {constructed}"
-        f" random-forest constructions n<=200 k in 3..12; invalid:"
-        f" {len(construction_bugs) + len(invalid) + len(realize_failures)},"
-        f" fallbacks: {len(fallbacks)}, {elapsed:.0f}s)",
+        f" random-forest constructions n<=200 k in 3..12 + 10^5 leaf-heavy"
+        f" forests with b < floor(n/k), k in 3..8, branches {dict(branches)};"
+        f" invalid: {len(construction_bugs) + len(invalid) + len(realize_failures)},"
+        f" fallbacks: {len(fallbacks)}, leaf-sweep failures: {len(leaf_failures)},"
+        f" {elapsed:.0f}s)",
     )
 
 

@@ -65,10 +65,15 @@ class TestColorCommand:
         assert code == 0 and "valid" in out
 
     def test_strict_mode_succeeds_on_healthy_instance(self, capsys):
-        code, out, _ = run(capsys, "color", "--k", "3", "family:paper3path:3",
-                           "--strategy", "proof-strict")
+        code, out, _ = run(capsys, "color", "--k", "3", "family:paper3path:3")
         assert code == 0
         assert "fallback" not in out
+
+    def test_strategy_option_removed_exit_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["color", "--k", "3", "--strategy", "proof-strict", "family:path:6"])
+        assert exc.value.code == 2
+        assert "--strategy" in capsys.readouterr().err
 
     def test_not_colorable_exit_1(self, capsys):
         assert run(capsys, "color", "--k", "3", "family:star:5")[0] == 1
@@ -83,14 +88,13 @@ class TestColorCommand:
         assert code == 0 and "two-sides" in out
 
     def test_strict_step_failure_exit_3(self, capsys, monkeypatch):
-        def boom(forest, k, strict):
+        def boom(forest, k):
             raise ProofStepError("synthetic step failure", None)
 
         monkeypatch.setattr(cli, "construct", boom)
-        code, _, err = run(capsys, "color", "--k", "3", "family:path:6",
-                           "--strategy", "proof-strict")
+        code, _, err = run(capsys, "color", "--k", "3", "family:path:6")
         assert code == 3
-        assert "strict" in err
+        assert "construction step failed" in err
 
 
 class TestVerifyCommand:
@@ -107,6 +111,19 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", "--k", "3", "family:path:6", str(out_file))
         assert code == 1
         assert "INVALID" in out and "monochromatic" in out
+
+
+    def test_class_zero_line_is_input_error_exit_2(self, capsys, tmp_path):
+        # class 0 must not read as "unassigned": the second line for
+        # vertex 0 would overwrite it and the file would pass as valid
+        coloring = tmp_path / "c.txt"
+        coloring.write_text("0 0\n0 1\n1 2\n2 1\n")
+        forest = tmp_path / "f.txt"
+        forest.write_text("3\n0 1\n1 2\n")
+        code, out, err = run(capsys, "verify", str(forest), str(coloring))
+        assert code == 2
+        assert "line 1: class 0 below 1" in err
+        assert "valid" not in out
 
 
 class TestChromaticCommand:

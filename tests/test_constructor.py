@@ -1,5 +1,8 @@
 """The constructive colorer: every branch, the verifier, and realize2."""
 
+import random
+from collections import Counter
+
 import pytest
 
 from equiforest import (
@@ -28,6 +31,8 @@ from equiforest.constructor import (
 )
 from equiforest.generators import FamilySpec, gen_family
 
+from conftest import leaf_branch_sweep, random_bipartite_tree
+
 
 def path(n):
     return gen_family(FamilySpec("path", (n,)))
@@ -42,7 +47,7 @@ def is_stable(forest, vertices):
 
 
 def assert_sound(forest, k, expect_branch=None):
-    coloring, trace = construct(forest, k, strict=True)
+    coloring, trace = construct(forest, k)
     report = verify(forest, coloring)
     assert report.ok, report
     assert not trace.fallback_used
@@ -165,6 +170,30 @@ class TestConstructSweeps:
                     assert_sound(f, k)
 
 
+class TestLeafBranchesInBulk:
+    """The harvest and pivot branches need b < floor(n/k), which random
+    forests almost never reach; leaf-heavy K_{a,b} trees do."""
+
+    def test_bipartite_tree_sampler_is_uniform(self):
+        # K_{2,3} has 2^2 * 3^1 = 12 spanning trees
+        rng = random.Random(5)
+        counts = Counter()
+        for _ in range(6000):
+            edges = random_bipartite_tree(2, 3, rng)
+            Forest.from_edges(5, edges)  # raises unless acyclic
+            assert len(edges) == 4
+            assert all((u < 2) != (v < 2) for u, v in edges)
+            counts[frozenset(frozenset(e) for e in edges)] += 1
+        assert len(counts) == 12
+        assert all(400 <= c <= 600 for c in counts.values())
+
+    def test_leaf_branches_in_bulk(self):
+        branches, failures = leaf_branch_sweep(3000)
+        assert failures == []
+        for branch in (BRANCH_HARVEST, BRANCH_PIVOT_SINGLE, BRANCH_PIVOT_MULTI):
+            assert branches[branch] >= 100, branches
+
+
 class TestRealize2:
     def test_path4(self):
         f = path(4)
@@ -237,3 +266,6 @@ class TestColoringFiles:
             parse_coloring_text("0 1\n", 2)
         with pytest.raises(ValueError):
             parse_coloring_text("5 1\n", 2)
+        # class 0 must not read as "unassigned" and let a line overwrite it
+        with pytest.raises(ValueError, match="line 1: class 0 below 1"):
+            parse_coloring_text("0 0\n0 1\n1 2\n2 1\n", 3)

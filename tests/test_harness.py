@@ -4,6 +4,9 @@ from itertools import product
 
 import pytest
 
+import equiforest.harness as harness
+from equiforest.constructor import ProofStepError
+from equiforest.forest import parse_forest
 from equiforest.harness import (
     SUITE_MAX_N,
     SuiteReport,
@@ -72,6 +75,17 @@ class TestSuites:
         assert report.checked == sum(
             num_labeled_trees(n) * (n - 2) if n > 2 else 0 for n in range(3, 7)
         )
+
+    def test_main_records_step_failure_as_counterexample(self, monkeypatch):
+        def boom(forest, k):
+            raise ProofStepError("synthetic step failure", None)
+
+        monkeypatch.setattr(harness, "construct", boom)
+        report = check_main(4, construct_yes=True)
+        assert not report.ok
+        entry = report.counterexamples[0]
+        assert entry["detail"] == "construction step failed: synthetic step failure"
+        assert parse_forest(entry["edges"]).n == entry["n"] == 3  # replayable
 
     def test_main_range_guard(self):
         with pytest.raises(ValueError):
