@@ -131,10 +131,9 @@ def cmd_color(args) -> int:
                 print(f"  trace: {exc.trace}", file=sys.stderr)
             return 3
         branch = trace.branch
-    text = format_coloring(coloring)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.write(format_coloring(coloring))
     result = {
         "k": coloring.k,
         "n": forest.n,
@@ -146,7 +145,7 @@ def cmd_color(args) -> int:
     lines = [f"{name}: equitable {coloring.k}-coloring"
              f" (branch {branch}, sizes {sorted(coloring.sizes())})"]
     if not args.output and not args.json:
-        lines.append(text.rstrip("\n"))
+        lines.append(format_coloring(coloring).rstrip("\n"))
     _emit(args, _base_report(args, name, result), lines)
     return 0
 
@@ -173,8 +172,8 @@ def cmd_verify(args) -> int:
 
 def cmd_chromatic(args) -> int:
     forest, name = _load_instance(args.input)
-    value = equitable_chromatic_number(forest)
     bound = lower_bound(forest)
+    value = equitable_chromatic_number(forest, bound)
     result = {
         "equitable_chromatic_number": value,
         "lower_bound": bound.value,
@@ -225,7 +224,8 @@ def _table_rows(family: str, lo: int, hi: int):
         spec = FamilySpec(family, (value,))
         forest = gen_family(spec)
         side = select_bipartition(forest)
-        chi = equitable_chromatic_number(forest)
+        bound = lower_bound(forest)
+        chi = equitable_chromatic_number(forest, bound)
         if chi >= 3:
             _, trace = construct(forest, chi)
             branch = trace.branch
@@ -241,7 +241,7 @@ def _table_rows(family: str, lo: int, hi: int):
             "max_degree": forest.max_degree,
             "a": side.a,
             "b": side.b,
-            "lower_bound": lower_bound(forest).value,
+            "lower_bound": bound.value,
             "chi_eq": chi,
             "branch": branch,
         }

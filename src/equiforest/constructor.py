@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .equitable import class_sizes, decide
-from .forest import Forest, component_sides, leaves_in, select_bipartition
+from .forest import Forest, leaves_in, select_bipartition, side_profile
 from .stability import stable_set_of_size_min_b
 
 BRANCH_EMPTY = "empty"
@@ -393,7 +393,12 @@ def parse_coloring_text(text: str, n: int, k: int | None = None) -> EquitableCol
             continue
         if len(tokens) != 2:
             raise ValueError(f"line {lineno}: expected 'vertex class'")
-        v, c = int(tokens[0]), int(tokens[1])
+        try:
+            v, c = int(tokens[0]), int(tokens[1])
+        except ValueError:
+            raise ValueError(
+                f"line {lineno}: vertex and class must be integers"
+            ) from None
         if not 0 <= v < n:
             raise ValueError(f"line {lineno}: vertex {v} out of range")
         if c < 1:
@@ -412,16 +417,18 @@ def parse_coloring_text(text: str, n: int, k: int | None = None) -> EquitableCol
 def realize2(forest: Forest, report) -> EquitableColoring:
     """Turn a positive 2-colorability decision into the coloring it
     promises: class 1 collects the witness-oriented component sides
-    (floor(n/2) vertices), class 2 the rest."""
+    (floor(n/2) vertices), class 2 the rest.  Reads the side profile the
+    decision carries, so the forest is not walked again."""
     if report.k != 2 or not report.colorable:
         raise ValueError("realize2 needs a positive k=2 decision report")
     if report.orientation is None:
         raise ValueError("decision report lacks its orientation witness")
-    sides = component_sides(forest)
-    if len(report.orientation) != len(sides):
-        raise ValueError("orientation length does not match component count")
-    assignment = [2] * forest.n
-    for pick_first, (even, odd) in zip(report.orientation, sides):
-        for v in (even if pick_first else odd):
-            assignment[v] = 1
-    return EquitableColoring(2, tuple(assignment))
+    sides = report.sides if report.sides is not None else side_profile(forest)
+    if len(sides.side) != forest.n or len(report.orientation) != len(sides.first):
+        raise ValueError("decision report does not match the forest")
+    orientation = report.orientation
+    # orientation True sends side 0 to class 1, False sends side 1
+    return EquitableColoring(2, tuple(
+        1 if orientation[c] != s else 2
+        for c, s in zip(forest.component_id, sides.side)
+    ))

@@ -10,10 +10,10 @@ floor(n/2).  k = 1 requires an edgeless forest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .forest import Forest, component_sides
-from .stability import alpha_x, lower_bound
+from .forest import Forest, SideProfile, side_profile
+from .stability import LowerBoundReport, alpha_x, lower_bound
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,8 @@ class DecisionReport:
     stability value and the floor(n/k) threshold.  For k = 2 a positive
     verdict carries the per-component orientation (True when the side
     containing the component's smallest vertex joins the floor(n/2)
-    class).
+    class) and the side profile it was read from, which realize2 reuses;
+    the profile is neither compared nor printed.
     """
 
     k: int
@@ -52,6 +53,7 @@ class DecisionReport:
     witness_alpha: int | None = None
     orientation: tuple[bool, ...] | None = None
     note: str = ""
+    sides: SideProfile | None = field(default=None, repr=False, compare=False)
 
 
 def max_degree_vertices(forest: Forest) -> tuple[int, ...]:
@@ -98,37 +100,65 @@ def decide(forest: Forest, k: int) -> DecisionReport:
 def decide2(forest: Forest) -> DecisionReport:
     """Is the forest equitably 2-colorable?
 
-    Per component i with side sizes (a_i, b_i), some choice of sides must
-    sum to floor(n/2); decided by a reachable-sums table with witness
-    reconstruction (components in id order, first side preferred).
+    Component i puts its first side (a_i vertices, the side holding its
+    smallest vertex) or its second side (b_i) into the floor(n/2) class.
+    Starting from every component's smaller side, turning component i
+    round adds |a_i - b_i|.  Components with equal a_i - b_i form one
+    group, and since these differences sum to at most n there are
+    O(sqrt(n)) groups.  Each group is split into chunks of 1, 2, 4, ...
+    components, and one bitset of the sums reachable up to the target is
+    shift-or'ed once per chunk; the bitset before each chunk is kept for
+    the witness, O(sum over groups of log(size)) rows of at most
+    floor(n/2) + 1 bits.
+
+    Witness: the chunks are walked backwards, meeting the groups in order
+    of their lowest component id, and each chunk's components take their
+    first side whenever the target stays reachable that way.  That fixes
+    how many components t_g of group g take their first side, and the t_g
+    lowest-id components of the group take it; components with a_i = b_i
+    always take their first side.  This is a valid orientation but not
+    always the lexicographically greatest one.
     """
-    n = forest.n
-    target = n // 2
-    sides = component_sides(forest)
-    r = len(sides)
-    sizes = [(len(even), len(odd)) for even, odd in sides]
-    # reach[i] = bitmask of sums achievable using components i..r-1
-    reach = [0] * (r + 1)
-    reach[r] = 1
-    for i in range(r - 1, -1, -1):
-        s0, s1 = sizes[i]
-        nxt = reach[i + 1]
-        reach[i] = (nxt << s0) | (nxt << s1)
-    if not (reach[0] >> target) & 1:
+    target = forest.n // 2
+    sides = side_profile(forest)
+    groups: dict[int, list[int]] = {}  # a_i - b_i -> component ids, ascending
+    need = target  # what the turned components must add to the smaller sides
+    for i, (a, b) in enumerate(zip(sides.first, sides.second)):
+        need -= min(a, b)
+        if a != b:
+            groups.setdefault(a - b, []).append(i)
+    mask = (1 << (need + 1)) - 1
+    reach = 1
+    chunks = []  # (group key, components, reachable sums before the chunk)
+    # groups were keyed by lowest id; reversed, the witness walk meets them so
+    for d in reversed(groups):
+        left = len(groups[d])
+        size = 1
+        while left:
+            take = min(size, left)
+            chunks.append((d, take, reach))
+            reach = (reach | reach << (take * abs(d))) & mask
+            left -= take
+            size *= 2
+    if not (reach >> need) & 1:
         return DecisionReport(k=2, colorable=False, threshold=target,
                               note="no component orientation reaches floor(n/2)")
-    orientation = []
-    remaining = target
-    for i in range(r):
-        s0, s1 = sizes[i]
-        if remaining >= s0 and (reach[i + 1] >> (remaining - s0)) & 1:
-            orientation.append(True)
-            remaining -= s0
-        else:
-            orientation.append(False)
-            remaining -= s1
+    turned = dict.fromkeys(groups, 0)
+    for d, take, before in reversed(chunks):
+        shift = take * abs(d)
+        turn_ok = need >= shift and (before >> (need - shift)) & 1
+        # turning gives the larger side, which is the first side when d > 0
+        if not (before >> need) & 1 or (d > 0 and turn_ok):
+            need -= shift
+            turned[d] += take
+    orientation = [True] * len(sides.first)
+    for d, members in groups.items():
+        # a turned component contributes its larger side
+        first_count = turned[d] if d > 0 else len(members) - turned[d]
+        for i in members[first_count:]:
+            orientation[i] = False
     return DecisionReport(k=2, colorable=True, threshold=target,
-                          orientation=tuple(orientation))
+                          orientation=tuple(orientation), sides=sides)
 
 
 def decide1(forest: Forest) -> DecisionReport:
@@ -151,12 +181,15 @@ def decide_any(forest: Forest, k: int) -> DecisionReport:
     return decide(forest, k)
 
 
-def equitable_chromatic_number(forest: Forest) -> int:
+def equitable_chromatic_number(forest: Forest,
+                               bound: LowerBoundReport | None = None) -> int:
     """Least k admitting an equitable k-coloring; 0 for the empty forest.
 
     k = 1 and k = 2 are tested explicitly; for k >= 3 the per-vertex
     threshold is monotone in k, so the answer is the larger of 3 and the
-    stability lower bound.
+    stability lower bound.  A caller that already holds the forest's
+    ``lower_bound`` report passes it as ``bound``, so the stability
+    profile is computed once.
     """
     if forest.n == 0:
         return 0
@@ -164,4 +197,6 @@ def equitable_chromatic_number(forest: Forest) -> int:
         return 1
     if decide2(forest).colorable:
         return 2
-    return max(3, lower_bound(forest).value)
+    if bound is None:
+        bound = lower_bound(forest)
+    return max(3, bound.value)

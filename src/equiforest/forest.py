@@ -272,6 +272,51 @@ def component_sides(forest: Forest) -> tuple[tuple[tuple[int, ...], tuple[int, .
     return tuple(out)
 
 
+@dataclass(frozen=True)
+class SideProfile:
+    """Every component's unique 2-coloring, without vertex lists.
+
+    ``side[v]`` is 0 when v lies on the first side of its component (the
+    side holding the component's smallest vertex) and 1 otherwise;
+    ``first[i]`` and ``second[i]`` are the two side sizes of component i,
+    in component-id order.
+    """
+
+    side: bytes
+    first: tuple[int, ...]
+    second: tuple[int, ...]
+
+
+def side_profile(forest: Forest) -> SideProfile:
+    """Each vertex's side and each component's side sizes, in one O(n)
+    walk that sorts nothing."""
+    adjacency = forest.adjacency
+    seen = bytearray(forest.n)
+    side = bytearray(forest.n)
+    first: list[int] = []
+    second: list[int] = []
+    for start in range(forest.n):
+        if seen[start]:
+            continue
+        # ids are scanned upward, so `start` is its component's smallest
+        # vertex and components appear in id order
+        seen[start] = 1
+        counts = [1, 0]
+        stack = [start]
+        while stack:
+            x = stack.pop()
+            p = side[x] ^ 1
+            for y in adjacency[x]:
+                if not seen[y]:
+                    seen[y] = 1
+                    side[y] = p
+                    counts[p] += 1
+                    stack.append(y)
+        first.append(counts[0])
+        second.append(counts[1])
+    return SideProfile(bytes(side), tuple(first), tuple(second))
+
+
 def leaves_in(forest: Forest, side: Bipartition) -> frozenset[int]:
     """Degree-1 vertices lying on side A."""
     adjacency = forest.adjacency

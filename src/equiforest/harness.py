@@ -34,7 +34,7 @@ from itertools import combinations, product
 
 from .constructor import ProofStepError, construct, realize2, verify
 from .equitable import decide, decide2, max_degree_vertices
-from .forest import Forest, component_sides, serialize_forest
+from .forest import Forest, serialize_forest, side_profile
 from .oracle import (
     decode_prufer,
     labeled_trees_in_range,
@@ -312,8 +312,8 @@ def check_bg(max_n: int = 10, shards: int = 1, shard_index: int = 0,
 
 
 def _cl2_check(forest: Forest, thorough: bool) -> dict | None:
-    even, odd = component_sides(forest)[0]
-    if abs(len(even) - len(odd)) > 1:
+    sides = side_profile(forest)
+    if abs(sides.first[0] - sides.second[0]) > 1:
         return None
     if not decide2(forest).colorable:
         return _payload(forest, "balanced tree not 2-colorable", 2)
@@ -334,8 +334,8 @@ def check_cl2(max_n: int = 10, shards: int = 1, shard_index: int = 0,
 
 
 def _cl3_check(forest: Forest, thorough: bool) -> dict | None:
-    even, odd = component_sides(forest)[0]
-    if abs(len(even) - len(odd)) <= 1:
+    sides = side_profile(forest)
+    if abs(sides.first[0] - sides.second[0]) <= 1:
         return None
     n = forest.n
     profile = alpha_profile(forest)

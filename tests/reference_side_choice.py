@@ -1,13 +1,19 @@
-"""The table DP that chose the construction's bipartition before the
-closed-form walk in ``equiforest.forest.select_bipartition`` replaced it.
+"""Side choices as they were made before their linear replacements.
 
-Kept verbatim (only renamed) as the reference for the differential test
-in ``test_forest.py``.  It costs O(r * n) time and memory for r
-components, so call it only on small forests.
+``reference_select_bipartition`` is the table DP that chose the
+construction's bipartition before the closed-form walk in
+``equiforest.forest.select_bipartition`` replaced it; it is the
+reference for the differential test in ``test_forest.py``.
+``reference_decide2`` is the per-component reachability table that
+decided k = 2 before the grouped kernel in ``equiforest.equitable.decide2``
+replaced it; it is the reference for ``test_equitable.py``.  Both are
+kept verbatim (only renamed).  They cost O(r * n) memory for r
+components, so call them only on small forests.
 """
 
 from __future__ import annotations
 
+from equiforest.equitable import DecisionReport
 from equiforest.forest import Bipartition, Forest, component_sides
 
 
@@ -89,3 +95,39 @@ def reference_select_bipartition(forest: Forest) -> Bipartition:
         for v in chosen:
             in_a[v] = True
     return Bipartition.from_flags(in_a)
+
+
+def reference_decide2(forest: Forest) -> DecisionReport:
+    """Is the forest equitably 2-colorable?
+
+    Per component i with side sizes (a_i, b_i), some choice of sides must
+    sum to floor(n/2); decided by a reachable-sums table with witness
+    reconstruction (components in id order, first side preferred).
+    """
+    n = forest.n
+    target = n // 2
+    sides = component_sides(forest)
+    r = len(sides)
+    sizes = [(len(even), len(odd)) for even, odd in sides]
+    # reach[i] = bitmask of sums achievable using components i..r-1
+    reach = [0] * (r + 1)
+    reach[r] = 1
+    for i in range(r - 1, -1, -1):
+        s0, s1 = sizes[i]
+        nxt = reach[i + 1]
+        reach[i] = (nxt << s0) | (nxt << s1)
+    if not (reach[0] >> target) & 1:
+        return DecisionReport(k=2, colorable=False, threshold=target,
+                              note="no component orientation reaches floor(n/2)")
+    orientation = []
+    remaining = target
+    for i in range(r):
+        s0, s1 = sizes[i]
+        if remaining >= s0 and (reach[i + 1] >> (remaining - s0)) & 1:
+            orientation.append(True)
+            remaining -= s0
+        else:
+            orientation.append(False)
+            remaining -= s1
+    return DecisionReport(k=2, colorable=True, threshold=target,
+                          orientation=tuple(orientation))

@@ -7,6 +7,7 @@ import jsonschema
 import pytest
 
 import equiforest.cli as cli
+import equiforest.stability as stability
 from equiforest.cli import main, run_report_schema
 from equiforest.constructor import ProofStepError
 
@@ -125,6 +126,15 @@ class TestVerifyCommand:
         assert "line 1: class 0 below 1" in err
         assert "valid" not in out
 
+    def test_non_integer_token_names_its_line_exit_2(self, capsys, tmp_path):
+        coloring = tmp_path / "c.txt"
+        coloring.write_text("0 1\n1 x\n")
+        forest = tmp_path / "f.txt"
+        forest.write_text("2\n0 1\n")
+        code, _, err = run(capsys, "verify", str(forest), str(coloring))
+        assert code == 2
+        assert "line 2: vertex and class must be integers" in err
+
 
 class TestChromaticCommand:
     def test_star(self, capsys):
@@ -136,6 +146,24 @@ class TestChromaticCommand:
         p.write_text("0\n")
         code, out, _ = run(capsys, "chromatic", str(p))
         assert code == 0 and "= 0" in out and "convention" in out
+
+    @pytest.mark.parametrize("argv,instances", [
+        (("chromatic", "family:star:99999"), 1),
+        (("table", "star:3..6"), 4),
+    ])
+    def test_one_stability_pass_per_instance(self, capsys, monkeypatch,
+                                             argv, instances):
+        passes = []
+        profile = stability.alpha_profile
+
+        def counted(forest):
+            passes.append(forest.n)
+            return profile(forest)
+
+        monkeypatch.setattr(stability, "alpha_profile", counted)
+        code, _, _ = run(capsys, *argv, "--json", "--no-timing")
+        assert code == 0
+        assert len(passes) == instances
 
 
 class TestCheckTheoremsCommand:

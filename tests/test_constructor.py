@@ -269,3 +269,5 @@ class TestColoringFiles:
         # class 0 must not read as "unassigned" and let a line overwrite it
         with pytest.raises(ValueError, match="line 1: class 0 below 1"):
             parse_coloring_text("0 0\n0 1\n1 2\n2 1\n", 3)
+        with pytest.raises(ValueError, match="line 2: vertex and class must be integers"):
+            parse_coloring_text("0 1\n1 x\n", 2)

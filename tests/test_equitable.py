@@ -22,7 +22,8 @@ from equiforest import (
 )
 from equiforest.generators import FamilySpec, gen_family
 
-from conftest import all_labeled_forests, forests
+from conftest import all_labeled_forests, forests, seeded_random_forests
+from reference_side_choice import reference_decide2
 
 
 def path(n):
@@ -155,6 +156,67 @@ class TestDecide2:
 
     def test_empty(self):
         assert decide2(parse_forest("0")).colorable
+
+    def test_documented_tie_break(self):
+        # components: {0}, {1, 3, 4 | 2}, {5}, {6}, {7}; floor(8/2) = 4.
+        # The singletons form the group of the lowest component, so as
+        # many of them as possible (three) take their first side, the
+        # lowest ids first; the per-component table preferred component 1.
+        f = parse_forest("8\n1 2\n2 3\n2 4")
+        report = decide2(f)
+        assert report.orientation == (True, False, True, True, False)
+        assert reference_decide2(f).orientation == (True, True, False, False, False)
+        assert realize2(f, report).class_vertices()[0] == {0, 2, 5, 6}
+
+
+def _side_sizes(forest):
+    """(first, second) side sizes per component, first = the side of the
+    component's smallest vertex, by a plain search from that vertex."""
+    side = [None] * forest.n
+    sizes = []
+    for start in range(forest.n):
+        if side[start] is not None:
+            continue
+        side[start] = 0
+        counts = [1, 0]
+        frontier = [start]
+        while frontier:
+            x = frontier.pop()
+            for y in forest.adjacency[x]:
+                if side[y] is None:
+                    side[y] = 1 - side[x]
+                    counts[side[y]] += 1
+                    frontier.append(y)
+        sizes.append(tuple(counts))
+    return sizes
+
+
+class TestDecide2AgainstReference:
+    """The grouped kernel against the per-component reachability table
+    it replaced: identical verdicts, and every orientation checked."""
+
+    @staticmethod
+    def _check(f):
+        report = decide2(f)
+        assert report.colorable == reference_decide2(f).colorable, f
+        if report.colorable:
+            sizes = _side_sizes(f)
+            assert len(report.orientation) == len(sizes), f
+            chosen = sum(first if pick else second
+                         for pick, (first, second) in zip(report.orientation, sizes))
+            assert chosen == f.n // 2, f
+            coloring = realize2(f, report)
+            assert verify(f, coloring).ok, f
+            assert coloring.sizes() == (f.n // 2, (f.n + 1) // 2), f
+
+    def test_all_labeled_forests(self):
+        for n in range(8):
+            for f in all_labeled_forests(n):
+                self._check(f)
+
+    def test_seeded_random_forests(self):
+        for f in seeded_random_forests():
+            self._check(f)
 
 
 class TestDecide1:

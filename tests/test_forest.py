@@ -15,6 +15,7 @@ from equiforest import (
     parse_forest,
     select_bipartition,
     serialize_forest,
+    side_profile,
 )
 from equiforest.generators import FamilySpec, gen_family
 
@@ -156,6 +157,33 @@ class TestBipartition:
     def test_matches_reference_table_dp_on_random_forests(self):
         for f in seeded_random_forests():
             assert select_bipartition(f) == reference_select_bipartition(f), f
+
+
+class TestSideProfile:
+    def test_example(self):
+        # components {0, 1, 2} (path 1 - 0 - 2), {3}, {4, 5}
+        sides = side_profile(parse_forest("6\n0 1\n0 2\n4 5"))
+        assert sides.side == bytes([0, 1, 1, 0, 0, 1])
+        assert (sides.first, sides.second) == ((1, 1, 1), (2, 0, 1))
+
+    @staticmethod
+    def _agrees_with_component_sides(f):
+        sides = side_profile(f)
+        listed = component_sides(f)
+        assert sides.first == tuple(len(even) for even, _ in listed), f
+        assert sides.second == tuple(len(odd) for _, odd in listed), f
+        for even, odd in listed:
+            assert all(sides.side[v] == 0 for v in even), f
+            assert all(sides.side[v] == 1 for v in odd), f
+
+    def test_matches_component_sides_on_all_labeled_forests(self):
+        for n in range(8):
+            for f in all_labeled_forests(n):
+                self._agrees_with_component_sides(f)
+
+    def test_matches_component_sides_on_random_forests(self):
+        for f in seeded_random_forests():
+            self._agrees_with_component_sides(f)
 
 
 class TestLeavesIn:

@@ -3,6 +3,7 @@ handle deep trees without recursion limits or blowup, and the side
 choice must stay linear however many components a forest has."""
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -98,9 +99,17 @@ def test_deep_forest_of_paths():
 
 @pytest.mark.parametrize("components", [50_000, 100_000])
 def test_many_component_side_choice_and_construction(components):
-    # r * n = 5 * 10^9 and 10^10 cells for a per-component table; decide2
-    # still keeps O(r * n) bits and is left out here
+    # r * n = 5 * 10^9 and 10^10 cells for a per-component table
     f = gen_family(FamilySpec("random_forest", (100_000, components), 1))
     select_bipartition(f).check(f)
     coloring, trace = construct(f, 3)
     assert verify(f, coloring).ok and not trace.fallback_used
+    tracemalloc.start()
+    try:
+        report = decide2(f)
+        assert report.colorable
+        assert verify(f, realize2(f, report)).ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20, peak
