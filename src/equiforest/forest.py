@@ -7,7 +7,10 @@ construction, so instances are safe to share between concurrent tasks.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from itertools import repeat
+from operator import add, eq, floordiv, itemgetter, lt, mod, mul
 
 
 class ForestError(ValueError):
@@ -45,13 +48,63 @@ def _cycle_through(adjacency: list[list[int]], u: int, v: int) -> list[int]:
     return path
 
 
+def _first_defect(n: int, pairs) -> ForestError:
+    """The error for the first pair, in input order, that breaks the forest.
+
+    This is the check-as-you-go loop the fast path skips, run only once
+    some pair is known to be out of range, or the pairs are known to hold
+    a self-loop, a duplicate or a cycle, so it always finds one.  Cycle
+    reports depend on input order and orientation, hence the replay.
+    """
+    adjacency: list[list[int]] = [[] for _ in range(n)]
+    seen: set[tuple[int, int]] = set()
+    uf = list(range(n))
+
+    def find(x: int) -> int:
+        while uf[x] != x:
+            uf[x] = uf[uf[x]]
+            x = uf[x]
+        return x
+
+    for u, v in pairs:
+        if not (0 <= u < n and 0 <= v < n):
+            return ForestError(f"edge ({u}, {v}) out of range for n={n}")
+        if u == v:
+            return ForestError(f"self-loop at vertex {u}")
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            return ForestError(f"duplicate edge {key}")
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            return CycleError(
+                f"cycle closed by edge {key}", _cycle_through(adjacency, u, v)
+            )
+        uf[ru] = rv
+        seen.add(key)
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+
+
+def _edge_keys(n: int, us: list[int], vs: list[int]) -> list[int] | None:
+    """The key min*n + max of each pair (us[i], vs[i]), or None when some
+    id lies outside 0..n-1 (a self-loop v*n + v is a key like any other)."""
+    lows, highs = us, vs
+    if not all(map(lt, us, vs)):  # serialized edges already are (min, max)
+        lows, highs = list(map(min, us, vs)), list(map(max, us, vs))
+    if lows and (min(lows) < 0 or max(highs) >= n):
+        return None
+    return list(map(add, map(mul, lows, repeat(n)), highs))
+
+
 @dataclass(frozen=True)
 class Forest:
     """Simple undirected acyclic graph on vertices 0..n-1.
 
     ``edges`` holds (min, max) pairs in lexicographic order, ``adjacency``
-    per-vertex sorted neighbor tuples, and ``component_id`` labels
-    components 0, 1, ... in order of their smallest contained vertex.
+    per-vertex neighbor tuples in increasing order (they are filled from
+    the sorted edges, so no list is sorted on its own), and
+    ``component_id`` labels components 0, 1, ... in order of their
+    smallest contained vertex.
     """
 
     n: int
@@ -64,46 +117,45 @@ class Forest:
         """Validate and build a Forest from an iterable of vertex pairs.
 
         Raises ForestError for out-of-range ids, self-loops and duplicate
-        edges, and CycleError when the pairs close a cycle.
+        edges, and CycleError when the pairs close a cycle; when several
+        pairs are at fault, the first one in input order is reported.
         """
         if n < 0:
             raise ForestError("vertex count must be nonnegative")
-        adjacency: list[list[int]] = [[] for _ in range(n)]
-        seen: set[tuple[int, int]] = set()
-        uf = list(range(n))
+        pairs = edge_pairs if isinstance(edge_pairs, (list, tuple)) else list(edge_pairs)
+        forest = None
+        if set(map(len, pairs)) <= {2}:
+            keys = _edge_keys(n, list(map(itemgetter(0), pairs)),
+                              list(map(itemgetter(1), pairs)))
+            forest = None if keys is None else cls._from_keys(n, keys)
+        if forest is None:
+            raise _first_defect(n, pairs)
+        return forest
 
-        def find(x: int) -> int:
-            while uf[x] != x:
-                uf[x] = uf[uf[x]]
-                x = uf[x]
-            return x
-
-        edges: list[tuple[int, int]] = []
-        for u, v in edge_pairs:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ForestError(f"edge ({u}, {v}) out of range for n={n}")
-            if u == v:
-                raise ForestError(f"self-loop at vertex {u}")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                raise ForestError(f"duplicate edge {key}")
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                raise CycleError(
-                    f"cycle closed by edge {key}", _cycle_through(adjacency, u, v)
-                )
-            uf[ru] = rv
-            seen.add(key)
-            edges.append(key)
-            adjacency[u].append(v)
-            adjacency[v].append(u)
-        edges.sort()
-        return cls(
-            n,
-            tuple(edges),
-            tuple(tuple(sorted(nbrs)) for nbrs in adjacency),
-            tuple(_component_labels(n, adjacency)),
-        )
+    @classmethod
+    def _from_keys(cls, n: int, keys: list[int]) -> "Forest | None":
+        # `keys` (consumed) holds min*n + max per edge, all in range.  One
+        # sort orders the edges; filling the adjacency in that order hands
+        # each vertex its smaller neighbours, then its larger ones, each
+        # group increasing.  A multigraph with c components is a forest
+        # iff it has n - c edges (each edge joins two components, or else
+        # closes a cycle), so that count rejects self-loops, duplicates
+        # and cycles alike: None, and the caller finds the culprit.
+        keys.sort()
+        vertex = list(range(n)).__getitem__  # edges and adjacency share one int per id
+        edges = tuple(zip(map(vertex, map(floordiv, keys, repeat(n))),
+                          map(vertex, map(mod, keys, repeat(n)))))
+        del keys[:]
+        lists: list[list[int]] = [[] for _ in range(n)]
+        for u, v in edges:
+            lists[u].append(v)
+            lists[v].append(u)
+        adjacency = tuple(map(tuple, lists))
+        del lists[:]  # freed before the walk allocates
+        component_id, count = _component_labels(n, adjacency)
+        if len(edges) != n - count:
+            return None
+        return cls(n, edges, adjacency, tuple(component_id))
 
     @classmethod
     def _from_tree_edges(cls, n: int, edge_pairs) -> "Forest":
@@ -153,7 +205,10 @@ class Forest:
             raise ForestError("representation inconsistent with edge set")
 
 
-def _component_labels(n: int, adjacency: list[list[int]]) -> list[int]:
+def _component_labels(
+    n: int, adjacency: tuple[tuple[int, ...], ...]
+) -> tuple[list[int], int]:
+    # labels in order of smallest vertex, and the number of components
     comp = [-1] * n
     label = 0
     for start in range(n):
@@ -168,13 +223,67 @@ def _component_labels(n: int, adjacency: list[list[int]]) -> list[int]:
                     comp[y] = label
                     stack.append(y)
         label += 1
-    return comp
+    return comp, label
+
+
+# The layout serialize_forest writes, give or take blank lines, spaces,
+# tabs and CRLF: ASCII digits only, the vertex count alone on the first
+# nonblank line, then one "u v" pair per nonblank line.  Text in this
+# layout splits into the same tokens as a line-by-line reading does.
+_PLAIN_HEADER = re.compile(r"[ \t\r\n]*([0-9]+)[ \t]*(?:\r?\n|\Z)")
+_PLAIN_PAIRS = re.compile(
+    r"(?:[ \t]*(?:[0-9]+[ \t]+[0-9]+[ \t]*)?\r?\n)*[ \t]*(?:[0-9]+[ \t]+[0-9]+[ \t]*)?"
+)
+# characters matched and split at once; the regex keeps state per line,
+# so slices bound its memory as well as the token lists'
+_CHUNK = 1 << 12
 
 
 def parse_forest(text: str) -> Forest:
     """Parse the edge-list format: first nonblank line is the vertex count,
     each following nonblank line one edge "u v"; '#' starts a comment.
+
+    A syntax error anywhere comes before any forest error, and the first
+    defect in input order is the one reported.
     """
+    forest = _read_plain(text)
+    if forest is not None:
+        return forest
+    # any other layout, or a defect: read line by line, which raises the
+    # first syntax error, and let from_edges report the first forest defect
+    n, pairs = _parse_lines(text)
+    return Forest.from_edges(n, pairs)
+
+
+def _read_plain(text: str) -> Forest | None:
+    # Text in the plain layout, read in slices of whole lines with C-level
+    # split and int; each slice's pairs become edge keys straight away, so
+    # no token or pair list outlives its slice.  None for any other text,
+    # or on any defect.
+    header = _PLAIN_HEADER.match(text)
+    if header is None:
+        return None
+    keys: list[int] = []
+    start = header.end()
+    try:  # int() refuses digit strings past sys.get_int_max_str_digits()
+        n = int(header.group(1))
+        while start < len(text):
+            end = text.find("\n", start + _CHUNK) + 1 or len(text)
+            lines = text[start:end]
+            start = end
+            if not _PLAIN_PAIRS.fullmatch(lines):
+                return None
+            ids = list(map(int, lines.split()))
+            chunk = _edge_keys(n, ids[0::2], ids[1::2])
+            if chunk is None:
+                return None
+            keys += chunk
+    except ValueError:
+        return None
+    return Forest._from_keys(n, keys)
+
+
+def _parse_lines(text: str) -> tuple[int, list[tuple[int, int]]]:
     n: int | None = None
     pairs: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -198,7 +307,7 @@ def parse_forest(text: str) -> Forest:
         pairs.append((u, v))
     if n is None:
         raise ParseError("empty input: missing vertex count")
-    return Forest.from_edges(n, pairs)
+    return n, pairs
 
 
 def serialize_forest(forest: Forest) -> str:
@@ -246,32 +355,6 @@ class Bipartition:
                 raise ForestError(f"edge ({u}, {v}) does not cross the bipartition")
 
 
-def component_sides(forest: Forest) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """Per component (in id order): the two sides of its unique 2-coloring.
-
-    The first side is the one containing the component's smallest vertex.
-    """
-    parity = [-1] * forest.n
-    adjacency = forest.adjacency
-    out = []
-    for start in range(forest.n):
-        if parity[start] >= 0:
-            continue
-        parity[start] = 0
-        even, odd = [start], []
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            p = parity[x] ^ 1
-            for y in adjacency[x]:
-                if parity[y] < 0:
-                    parity[y] = p
-                    (odd if p else even).append(y)
-                    stack.append(y)
-        out.append((tuple(sorted(even)), tuple(sorted(odd))))
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class SideProfile:
     """Every component's unique 2-coloring, without vertex lists.
@@ -290,6 +373,11 @@ class SideProfile:
 def side_profile(forest: Forest) -> SideProfile:
     """Each vertex's side and each component's side sizes, in one O(n)
     walk that sorts nothing."""
+    side, first, second = _side_walk(forest)
+    return SideProfile(bytes(side), tuple(first), tuple(second))
+
+
+def _side_walk(forest: Forest) -> tuple[bytearray, list[int], list[int]]:
     adjacency = forest.adjacency
     seen = bytearray(forest.n)
     side = bytearray(forest.n)
@@ -314,7 +402,7 @@ def side_profile(forest: Forest) -> SideProfile:
                     stack.append(y)
         first.append(counts[0])
         second.append(counts[1])
-    return SideProfile(bytes(side), tuple(first), tuple(second))
+    return side, first, second
 
 
 def leaves_in(forest: Forest, side: Bipartition) -> frozenset[int]:
@@ -344,24 +432,23 @@ def select_bipartition(forest: Forest) -> Bipartition:
     larger sides) plus min(budget, later singletons).  So a singleton
     keeps flip 0 exactly while budget remains.  O(n) time and space.
     """
-    sides = component_sides(forest)
+    side, first, second = _side_walk(forest)
     need = (forest.n + 1) // 2  # a >= b  <=>  a >= ceil(n/2)
-    larger = sum(max(len(even), len(odd)) for even, odd in sides if odd)
-    singles = sum(1 for _, odd in sides if not odd)
+    singles = second.count(0)
+    larger = sum(map(max, first, second)) - singles  # a singleton is (1, 0)
     budget = max(0, need - larger)
-    in_a = [False] * forest.n
+    chosen = bytearray()  # per component: the side that goes to A
     a = 0
-    for even, odd in sides:
-        if odd:
-            larger -= max(len(even), len(odd))
-            keep = a + len(even) + larger + min(budget, singles) >= need
+    for size0, size1 in zip(first, second):
+        if size1:
+            larger -= max(size0, size1)
+            keep = a + size0 + larger + min(budget, singles) >= need
         else:
             singles -= 1
             keep = budget > 0
             if keep:
                 budget -= 1
-        chosen = even if keep else odd
-        a += len(chosen)
-        for v in chosen:
-            in_a[v] = True
-    return Bipartition.from_flags(in_a)
+        chosen.append(not keep)
+        a += size0 if keep else size1
+    in_a = tuple(map(eq, side, map(chosen.__getitem__, forest.component_id)))
+    return Bipartition(in_a, a, forest.n - a)

@@ -8,13 +8,43 @@ reference for the differential test in ``test_forest.py``.
 decided k = 2 before the grouped kernel in ``equiforest.equitable.decide2``
 replaced it; it is the reference for ``test_equitable.py``.  Both are
 kept verbatim (only renamed).  They cost O(r * n) memory for r
-components, so call them only on small forests.
+components, so call them only on small forests.  ``component_sides``,
+which lists each component's two sides as sorted vertex tuples, fed
+them (and ``select_bipartition`` until it read ``side_profile``); it is
+kept verbatim too, and ``test_forest.py`` checks ``side_profile``
+against it.
 """
 
 from __future__ import annotations
 
 from equiforest.equitable import DecisionReport
-from equiforest.forest import Bipartition, Forest, component_sides
+from equiforest.forest import Bipartition, Forest
+
+
+def component_sides(forest: Forest) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """Per component (in id order): the two sides of its unique 2-coloring.
+
+    The first side is the one containing the component's smallest vertex.
+    """
+    parity = [-1] * forest.n
+    adjacency = forest.adjacency
+    out = []
+    for start in range(forest.n):
+        if parity[start] >= 0:
+            continue
+        parity[start] = 0
+        even, odd = [start], []
+        stack = [start]
+        while stack:
+            x = stack.pop()
+            p = parity[x] ^ 1
+            for y in adjacency[x]:
+                if parity[y] < 0:
+                    parity[y] = p
+                    (odd if p else even).append(y)
+                    stack.append(y)
+        out.append((tuple(sorted(even)), tuple(sorted(odd))))
+    return tuple(out)
 
 
 def reference_select_bipartition(forest: Forest) -> Bipartition:

@@ -10,7 +10,6 @@ from equiforest import (
     CycleError,
     ForestError,
     ParseError,
-    component_sides,
     leaves_in,
     parse_forest,
     select_bipartition,
@@ -26,7 +25,7 @@ from conftest import (
     forests,
     seeded_random_forests,
 )
-from reference_side_choice import reference_select_bipartition
+from reference_side_choice import component_sides, reference_select_bipartition
 
 
 class TestParse:

@@ -1,6 +1,7 @@
 """Large instances: the iterative DPs and the linear decision path must
-handle deep trees without recursion limits or blowup, and the side
-choice must stay linear however many components a forest has."""
+handle deep trees without recursion limits or blowup, the side choice
+must stay linear however many components a forest has, and reading an
+edge list must stay within a fixed memory budget."""
 
 import json
 import tracemalloc
@@ -17,8 +18,10 @@ from equiforest import (
     decide2,
     lower_bound,
     major_vertex_check,
+    parse_forest,
     realize2,
     select_bipartition,
+    serialize_forest,
     verify,
 )
 from equiforest.cli import main
@@ -113,3 +116,22 @@ def test_many_component_side_choice_and_construction(components):
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20, peak
+
+
+@pytest.mark.parametrize("family,params,bound_mb", [
+    ("random_tree", (100_000,), 32),
+    ("random_forest", (100_000, 50_000), 28),
+])
+def test_edge_list_roundtrip_memory(family, params, bound_mb):
+    # the line-by-line reader with its union-find peaked at 40.6 and
+    # 29.5 MB on these two inputs
+    f = gen_family(FamilySpec(family, params, 1))
+    text = serialize_forest(f)
+    tracemalloc.start()
+    try:
+        parsed = parse_forest(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert parsed == f
+    assert peak < bound_mb * 2**20, peak
