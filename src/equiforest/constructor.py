@@ -312,8 +312,7 @@ def _pivot_branch(forest, k, sizes, side, assignment, vertices_a, vertices_b,
     _require(pivot_set is not None,
              "no stable set of size floor(n/k) through the pivot", trace)
     trace = replace(trace, pivot_set=pivot_set)
-    in_b = [not f for f in side.in_a]
-    overlap = sorted(x for x in pivot_set if in_b[x])
+    overlap = sorted(x for x in pivot_set if not side.in_a[x])
 
     for x in pivot_set:
         assignment[x] = 1

@@ -188,16 +188,6 @@ class Forest:
     def num_components(self) -> int:
         return max(self.component_id, default=-1) + 1
 
-    def components(self) -> tuple[tuple[int, ...], ...]:
-        """Vertex lists per component, in component-id order."""
-        out: list[list[int]] = [[] for _ in range(self.num_components)]
-        for v, c in enumerate(self.component_id):
-            out[c].append(v)
-        return tuple(tuple(c) for c in out)
-
-    def leaves(self) -> tuple[int, ...]:
-        return tuple(v for v in range(self.n) if len(self.adjacency[v]) == 1)
-
     def validate(self) -> None:
         """Re-derive the representation from the edge set; raise on mismatch."""
         rebuilt = Forest.from_edges(self.n, self.edges)

@@ -2,32 +2,28 @@
 the coloring-number lower bound they induce, and a size-constrained
 stable-set search that minimizes overlap with one bipartition side.
 
-Stability numbers come from one take/skip pass (each component rooted
-at its smallest id, or at a chosen vertex), and every alpha_x at once
-from one more rerooting pass.  All dynamic programs run iteratively so
-deep path-like trees cannot hit recursion limits, with exact integers.
+Every dynamic program here is a take/skip pass over one rooting walk
+(components rooted at their smallest ids, or one at a chosen vertex):
+one number per vertex and state for the stability numbers, plus one
+rerooting pass for every alpha_x at once; for the minimum-overlap search,
+short tables indexed by a cap on the B-vertices used, the cap doubled
+until it suffices, in O(n*t*) for the least overlap t*.  All passes are
+iterative, so deep trees cannot hit recursion limits, and exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import nlargest
 from itertools import chain
 
 from .forest import Bipartition, Forest
 
-_INF = 1 << 30
 
-
-def _take_skip(adjacency, first: int | None = None):
-    """Root every component and fill its take/skip tables in one pass.
-
-    Each component is rooted at its smallest id, except the one holding
-    `first`, which is rooted at `first`.  Returns (order, parent, take,
-    skip, total): `order` lists every vertex after its parent (roots have
-    parent -1) with each component contiguous, take[u] / skip[u] are the
-    largest stable sets in u's subtree with and without u, and `total` is
-    the stability number of the whole forest.
-    """
+def _rooted(adjacency, first: int | None = None):
+    """Root each component at its smallest id, or at `first`, whose
+    component is walked first.  Returns (order, parent): every vertex
+    after its parent (roots have parent -1), each component contiguous."""
     n = len(adjacency)
     parent = [-1] * n
     seen = bytearray(n)
@@ -45,6 +41,15 @@ def _take_skip(adjacency, first: int | None = None):
                     seen[w] = 1
                     parent[w] = u
                     stack.append(w)
+    return order, parent
+
+
+def _take_skip(adjacency, first: int | None = None):
+    """Fill the take/skip tables over the `_rooted` walk.  Returns (order,
+    parent, take, skip, total): take[u] / skip[u] are the largest stable
+    sets in u's subtree with and without u, `total` the forest's."""
+    order, parent = _rooted(adjacency, first)
+    n = len(adjacency)
     take = [1] * n
     skip = [0] * n
     total = 0
@@ -198,108 +203,60 @@ def major_vertex_check(forest: Forest) -> MajorVertexReport:
     )
 
 
-def _merge_min(a: list[int], b: list[int]) -> list[int]:
-    out = [_INF] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai >= _INF:
-            continue
-        for j, bj in enumerate(b):
-            if bj >= _INF:
-                continue
-            v = ai + bj
-            if v < out[i + j]:
-                out[i + j] = v
+def _max_plus(a: list[int], b: list[int], length: int) -> list[int]:
+    """Max-plus product of two B-capped tables (entries >= 0, a short
+    table repeating its last entry), cut to `length` entries."""
+    out = [0] * min(length, len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b[:len(out) - i], i):
+            if x + y > out[j]:
+                out[j] = x + y
     return out
 
 
-def _rooted_component(adjacency, root):
-    order = [root]
-    parent = {root: -1}
-    stack = [root]
-    while stack:
-        u = stack.pop()
+def _capped_tables(adjacency, order, parent, in_a, v, cap):
+    """The take/skip pass with B-capped tables: entry t <= cap is the
+    largest stable set using at most t B-vertices (-1: none); a table ends
+    where its subtree runs out of them.  Returns per vertex the tables
+    without it and with it free, and the forest's table with v taken."""
+    skip: list[list[int]] = [[]] * len(adjacency)
+    best: list[list[int]] = [[]] * len(adjacency)
+    rest = [0]  # the other components, walked before v's
+    for u in reversed(order):
+        p = parent[u]
+        below_out = below_free = [0]
         for w in adjacency[u]:
-            if w not in parent:
-                parent[w] = u
-                order.append(w)
-                stack.append(w)
-    children = {u: [w for w in adjacency[u] if w != parent[u]] for u in order}
-    return order, children
+            if w != p:
+                below_out = _max_plus(below_out, skip[w], cap + 1)
+                below_free = _max_plus(below_free, best[w], cap + 1)
+        if u == v:
+            below_out = _max_plus(below_out, rest, cap + 1)
+        if in_a[u]:
+            take = [x + 1 for x in below_out]
+        else:
+            take = [-1] + [x + 1 for x in below_out[:cap]]
+            below_free += below_free[-1:] * (len(take) - len(below_free))
+        skip[u] = below_free
+        best[u] = list(map(max, take, below_free))
+        if p < 0 and u != v:
+            rest = _max_plus(rest, best[u], cap + 1)
+    return skip, best, take
 
 
-class _MinOverlapUnit:
-    """Size-indexed min-B-count tables for one component."""
-
-    def __init__(self, adjacency, root: int, cost, force_root: bool):
-        self.root = root
-        self.force_root = force_root
-        self.cost = cost
-        self.order, self.children = _rooted_component(adjacency, root)
-        self.in_tab: dict[int, list[int]] = {}
-        self.out_tab: dict[int, list[int]] = {}
-        for u in reversed(self.order):
-            taken = [_INF, cost[u]]
-            skipped = [0]
-            for c in self.children[u]:
-                taken = _merge_min(taken, self.out_tab[c])
-                skipped = _merge_min(skipped, self._best(c))
-            self.in_tab[u] = taken
-            self.out_tab[u] = skipped
-
-    def _best(self, u: int) -> list[int]:
-        tin, tout = self.in_tab[u], self.out_tab[u]
-        return [
-            min(
-                tin[s] if s < len(tin) else _INF,
-                tout[s] if s < len(tout) else _INF,
-            )
-            for s in range(max(len(tin), len(tout)))
-        ]
-
-    def table(self) -> list[int]:
-        return self.in_tab[self.root] if self.force_root else self._best(self.root)
-
-    def reconstruct(self, total_size: int, chosen: list[int]) -> None:
-        """Append the vertices of one optimal selection of `total_size`."""
-        root_state = "in"
-        if not self.force_root:
-            tin, tout = self.in_tab[self.root], self.out_tab[self.root]
-            vin = tin[total_size] if total_size < len(tin) else _INF
-            vout = tout[total_size] if total_size < len(tout) else _INF
-            root_state = "in" if vin <= vout else "out"
-        stack = [(self.root, root_state, total_size)]
-        while stack:
-            u, state, s = stack.pop()
-            kids = self.children[u]
-            if state == "in":
-                chosen.append(u)
-                prefixes = [[_INF, self.cost[u]]]
-                for c in kids:
-                    prefixes.append(_merge_min(prefixes[-1], self.out_tab[c]))
-            else:
-                prefixes = [[0]]
-                for c in kids:
-                    prefixes.append(_merge_min(prefixes[-1], self._best(c)))
-            remaining = s
-            for idx in range(len(kids) - 1, -1, -1):
-                c = kids[idx]
-                child_tab = self.out_tab[c] if state == "in" else self._best(c)
-                target = prefixes[idx + 1][remaining]
-                for sc in range(min(remaining, len(child_tab) - 1) + 1):
-                    left = remaining - sc
-                    if left >= len(prefixes[idx]):
-                        continue
-                    if prefixes[idx][left] + child_tab[sc] == target:
-                        break
-                else:  # pragma: no cover - table consistency guarantees a split
-                    raise AssertionError("inconsistent reconstruction tables")
-                if state == "in":
-                    stack.append((c, "out", sc))
-                else:
-                    tin = self.in_tab[c]
-                    pick_in = sc < len(tin) and tin[sc] == child_tab[sc]
-                    stack.append((c, "in" if pick_in else "out", sc))
-                remaining -= sc
+def _split(kids, tables: list[list[int]], t: int, length: int):
+    """Yield (kid, budget) from the last kid back: budgets summing to at
+    most t at which the kids' tables reach their max-plus product at t,
+    each the least that keeps the optimum."""
+    prefixes = [[0]]
+    for tab in tables:
+        prefixes.append(_max_plus(prefixes[-1], tab, length))
+    for i in range(len(tables) - 1, -1, -1):
+        tab, prev, here = tables[i], prefixes[i], prefixes[i + 1]
+        target = here[min(t, len(here) - 1)]
+        s = next(s for s in range(min(t, len(tab) - 1) + 1)
+                 if prev[min(t - s, len(prev) - 1)] + tab[s] == target)
+        yield kids[i], s
+        t -= s
 
 
 def stable_set_of_size_min_b(
@@ -308,50 +265,51 @@ def stable_set_of_size_min_b(
     """A stable set of exactly `size` vertices containing v that minimizes
     overlap with side B, or None when v lies in no stable set that large.
 
-    Size-indexed tree DP per component; components not containing v
-    contribute their own tables through a knapsack combination.
-    Reconstruction is deterministic, biased toward small vertex ids.
+    The take/skip pass over B-capped tables runs with the cap T = 1, 2,
+    4, ... until the whole forest reaches `size` at T or T >= b; a pass
+    costs O(n*T), the search O(n*t*) for the least overlap t*.  The walk
+    down the tables at t* splits each budget over the children from the
+    last (in adjacency order) back, each taking the least budget that
+    keeps the optimum, and takes a free vertex only when that is strictly
+    larger.  That set has t* B-vertices and at least `size` vertices; its
+    highest-id A-vertices other than v are dropped down to `size`.
     """
-    n = forest.n
-    if not 0 <= v < n:
+    if not 0 <= v < forest.n:
         raise ValueError(f"vertex {v} out of range")
     if size < 1:
         raise ValueError("size must be >= 1")
-    if size > n:
+    if size > forest.n:
         return None
-    adjacency = forest.adjacency
-    cost = [0 if flag else 1 for flag in side.in_a]
-    comps = forest.components()
-    units = [_MinOverlapUnit(adjacency, v, cost, force_root=True)]
-    v_comp = forest.component_id[v]
-    for cid, comp in enumerate(comps):
-        if cid != v_comp:
-            units.append(_MinOverlapUnit(adjacency, comp[0], cost, force_root=False))
-
-    prefixes = [[0]]
-    for unit in units:
-        prefixes.append(_merge_min(prefixes[-1], unit.table()))
-    final = prefixes[-1]
-    if size >= len(final) or final[size] >= _INF:
+    adjacency, in_a = forest.adjacency, side.in_a
+    order, parent = _rooted(adjacency, v)
+    cap = 1
+    skip, best, whole = _capped_tables(adjacency, order, parent, in_a, v, cap)
+    while whole[-1] < size and cap < side.b:
+        cap *= 2
+        skip, best, whole = _capped_tables(adjacency, order, parent, in_a, v, cap)
+    t = next((t for t, x in enumerate(whole) if x >= size), None)
+    if t is None:
         return None
-
+    others = [u for u in order if parent[u] < 0 and u != v]
     chosen: list[int] = []
-    remaining = size
-    for idx in range(len(units) - 1, -1, -1):
-        unit_tab = units[idx].table()
-        target = prefixes[idx + 1][remaining]
-        for su in range(min(remaining, len(unit_tab) - 1) + 1):
-            left = remaining - su
-            if left >= len(prefixes[idx]) or unit_tab[su] >= _INF:
-                continue
-            if prefixes[idx][left] + unit_tab[su] == target:
-                break
-        else:  # pragma: no cover - table consistency guarantees a split
-            raise AssertionError("inconsistent knapsack tables")
-        if su:
-            units[idx].reconstruct(su, chosen)
-        remaining -= su
+    stack = [(v, t, True)]
+    while stack:
+        u, t, taken = stack.pop()
+        kids = [w for w in adjacency[u] if w != parent[u]]
+        if taken:
+            chosen.append(u)
+            t -= not in_a[u]
+        tables = [(skip if taken else best)[w] for w in kids]
+        if u == v:
+            kids += others
+            tables += [best[r] for r in others]
+        for w, s in _split(kids, tables, t, cap + 1):
+            free = not taken or parent[w] < 0
+            stack.append((w, s, free and best[w][s] > skip[w][s]))
     result = frozenset(chosen)
+    result = result.difference(
+        nlargest(len(result) - size, (u for u in result if in_a[u] and u != v))
+    )
     if len(result) != size or v not in result:  # pragma: no cover - sanity
         raise AssertionError("reconstruction produced a wrong-sized set")
     return result

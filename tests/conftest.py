@@ -159,14 +159,19 @@ def leaf_heavy_forest(seed: int) -> Forest:
 def leaf_branch_sweep(count: int):
     """Construct and verify every pair (leaf_heavy_forest(seed), k) with
     seed < count, k in 3..8, b < floor(n/k) and a yes decision.  Returns
-    the branch histogram and a list of (seed, k, reason) failures."""
+    the branch histogram and a list of (seed, k, reason) failures.
+
+    A pivot branch is also checked against the closed form for
+    pivot-single: the pivot's neighbours all lie in the stable side A, so
+    a stable set through it meeting B only there exists exactly when
+    a - deg(pivot) + 1 >= floor(n/k)."""
     branches = Counter()
     failures = []
     for seed in range(count):
         forest = leaf_heavy_forest(seed)
-        b = select_bipartition(forest).b
+        side = select_bipartition(forest)
         for k in range(3, 9):
-            if b >= forest.n // k or not decide(forest, k).colorable:
+            if side.b >= forest.n // k or not decide(forest, k).colorable:
                 continue
             try:
                 coloring, trace = construct(forest, k)
@@ -175,6 +180,10 @@ def leaf_branch_sweep(count: int):
                 continue
             if not verify(forest, coloring).ok:
                 failures.append((seed, k, "coloring invalid"))
+            if trace.pivot is not None:
+                single = side.a - forest.degree(trace.pivot) + 1 >= forest.n // k
+                if single != (trace.branch == "pivot-single"):
+                    failures.append((seed, k, "pivot-single closed form fails"))
             branches[trace.branch] += 1
     return branches, failures
 

@@ -1,9 +1,11 @@
 """Large instances: the iterative DPs and the linear decision path must
 handle deep trees without recursion limits or blowup, the side choice
-must stay linear however many components a forest has, and reading an
-edge list must stay within a fixed memory budget."""
+must stay linear however many components a forest has, the pivot set
+must stay near-linear, and reading an edge list must stay within a fixed
+memory budget."""
 
 import json
+import time
 import tracemalloc
 
 import pytest
@@ -135,3 +137,25 @@ def test_edge_list_roundtrip_memory(family, params, bound_mb):
         tracemalloc.stop()
     assert parsed == f
     assert peak < bound_mb * 2**20, peak
+
+
+def test_pivot_caterpillar_construction():
+    # a 7-leaf hub, then one leaf on every other spine vertex: n = 100,007
+    # and b < floor(n/3), so the pivot branch runs at n = 10^5, where the
+    # size-indexed knapsack it replaced, quadratic in n, would need hours
+    spine = 66_667
+    cat = gen_family(FamilySpec("caterpillar", (spine, 7) + (0, 1) * (spine // 2)))
+    assert cat.n == 100_007
+    start = time.perf_counter()
+    coloring, trace = construct(cat, 3)
+    assert verify(cat, coloring).ok
+    elapsed = time.perf_counter() - start
+    assert trace.branch == "pivot-single"
+    assert elapsed < 30, elapsed
+    tracemalloc.start()
+    try:
+        construct(cat, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 2**20, peak

@@ -24,6 +24,7 @@ from conftest import (
     all_labeled_forests,
     brute_min_overlap,
     forests,
+    leaf_heavy_forest,
     seeded_random_forests,
 )
 from reference_stability import (
@@ -33,6 +34,7 @@ from reference_stability import (
     reference_major_vertex_check,
     reference_max_stable_set,
 )
+from reference_pivot import reference_stable_set_of_size_min_b
 
 
 def path(n):
@@ -263,3 +265,46 @@ class TestMinOverlapStableSet:
         first = stable_set_of_size_min_b(f, 1, 4, side)
         second = stable_set_of_size_min_b(f, 1, 4, side)
         assert first == second
+
+
+class TestPivotKernelAgainstReference:
+    """The B-capped take/skip kernel against the size-indexed knapsack it
+    replaced (tests/reference_pivot.py): equal feasibility and equal
+    minimum B-overlap, and every set is stable, holds v and has the
+    asked size.  The witnesses themselves may differ."""
+
+    def check(self, f, v, size, side):
+        expect = reference_stable_set_of_size_min_b(f, v, size, side)
+        got = stable_set_of_size_min_b(f, v, size, side)
+        if expect is None:
+            assert got is None, (f, v, size)
+            return None
+        assert got is not None and len(got) == size and v in got, (f, v, size)
+        assert is_stable(f, got), (f, v, size)
+        overlap = sum(1 for u in got if not side.in_a[u])
+        assert overlap == sum(1 for u in expect if not side.in_a[u]), (f, v, size)
+        return overlap
+
+    def test_all_labeled_forests(self):
+        checked = 0
+        for n in range(1, 7):
+            for f in all_labeled_forests(n):
+                side = select_bipartition(f)
+                for v in range(n):
+                    for size in range(1, n + 1):
+                        self.check(f, v, size, side)
+                        checked += 1
+        assert checked == 113_507
+
+    def test_leaf_heavy_forests_at_b_vertices(self):
+        # pivot-sized requests at every B-vertex; at least one needs an
+        # overlap of 4 or more, so the cap on B-vertices doubles twice
+        overlaps = []
+        for seed in range(1000):
+            f = leaf_heavy_forest(seed)
+            side = select_bipartition(f)
+            sizes = sorted({f.n // k for k in range(3, 9)} - {0})
+            for v in sorted(side.side_b()):
+                for size in sizes:
+                    overlaps.append(self.check(f, v, size, side))
+        assert max(x for x in overlaps if x is not None) >= 4
