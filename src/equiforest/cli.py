@@ -33,8 +33,14 @@ from .constructor import (
     realize2,
     verify,
 )
-from .equitable import decide1, decide2, decide_any, equitable_chromatic_number
-from .forest import Forest, ForestError, parse_forest, select_bipartition
+from .equitable import (
+    DecisionProfile,
+    decide1,
+    decide2,
+    decide_any,
+    equitable_chromatic_number,
+)
+from .forest import Forest, ForestError, parse_forest
 from .generators import FamilySpec, format_family, gen_family, parse_family
 from .harness import SUITE_MAX_N, SUITES, run_checks
 from .stability import lower_bound
@@ -223,11 +229,12 @@ def _table_rows(family: str, lo: int, hi: int):
     for value in range(lo, hi + 1):
         spec = FamilySpec(family, (value,))
         forest = gen_family(spec)
-        side = select_bipartition(forest)
+        profile = DecisionProfile(forest)
+        side = profile.bipartition
         bound = lower_bound(forest)
-        chi = equitable_chromatic_number(forest, bound)
+        chi = profile.chromatic_number()
         if chi >= 3:
-            _, trace = construct(forest, chi)
+            _, trace = construct(forest, chi, profile)
             branch = trace.branch
         elif chi == 2:
             branch = "two-sides"

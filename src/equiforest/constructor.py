@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .equitable import class_sizes, decide
-from .forest import Forest, leaves_in, select_bipartition, side_profile
+from .equitable import DecisionProfile, class_sizes
+from .forest import Forest, leaves_in, side_profile
 from .stability import stable_set_of_size_min_b
 
 BRANCH_EMPTY = "empty"
@@ -140,21 +140,30 @@ def _require(condition: bool, message: str, trace: ConstructionTrace) -> None:
         raise ProofStepError(message, trace)
 
 
-def construct(forest: Forest, k: int) -> tuple[EquitableColoring, ConstructionTrace]:
+def construct(forest: Forest, k: int, profile: DecisionProfile | None = None
+              ) -> tuple[EquitableColoring, ConstructionTrace]:
     """Deterministic equitable k-coloring of a yes-instance, k >= 3.
 
-    Raises NotColorableError when the decision procedure says no and
-    ProofStepError when a construction step's feasibility check fails.
+    ``profile`` is the forest's DecisionProfile when the caller holds
+    one: its verdict and its bipartition are read, not computed again.
+    Without it a profile is built here.  Raises ValueError when the
+    profile belongs to another forest object, NotColorableError when the
+    decision says no and ProofStepError when a construction step's
+    feasibility check fails.
     """
     if k < 3:
         raise ValueError("construct handles k >= 3")
-    if not decide(forest, k).colorable:
+    if profile is None:
+        profile = DecisionProfile(forest)
+    elif profile.forest is not forest:
+        raise ValueError("decision profile was built for another forest")
+    if not profile.decide(k).colorable:
         raise NotColorableError(f"forest is not equitably {k}-colorable")
     n = forest.n
     if n == 0:
         return EquitableColoring(k, ()), ConstructionTrace(branch=BRANCH_EMPTY)
     sizes = class_sizes(n, k).sizes
-    side = select_bipartition(forest)
+    side = profile.bipartition
     b = side.b
     vertices_a = sorted(side.side_a())
     vertices_b = sorted(side.side_b())

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from itertools import combinations, product
 
 from .constructor import ProofStepError, construct, realize2, verify
-from .equitable import decide, decide2, max_degree_vertices
+from .equitable import DecisionProfile, decide, max_degree_vertices
 from .forest import Forest, serialize_forest, side_profile
 from .oracle import (
     decode_prufer,
@@ -217,7 +217,9 @@ def check_main(max_n: int = 8, shards: int = 1, shard_index: int = 0,
     With construct_yes=True every yes-instance (including k = 2 ones,
     through their orientation witnesses) is also constructed and
     verified; a failed construction step counts as a counterexample.
-    `checked` counts only the k >= 3 pairs.
+    `checked` counts only the k >= 3 pairs.  Each tree is decided and
+    constructed through one DecisionProfile, so its alpha_x and its
+    bipartition are computed once for all k.
     """
     if not 3 <= max_n <= SUITE_MAX_N["main"]:
         raise ValueError(f"main supports max_n in 3..{SUITE_MAX_N['main']}")
@@ -228,7 +230,8 @@ def check_main(max_n: int = 8, shards: int = 1, shard_index: int = 0,
         total = num_labeled_trees(n)
         lo, hi = _shard_range(total, shards, shard_index)
         for forest in labeled_trees_in_range(n, lo, hi):
-            report2 = decide2(forest)
+            profile = DecisionProfile(forest)
+            report2 = profile.decide(2)
             colorable2 = report2.colorable
             two_color_pairs += 1
             if colorable2 != oracle_exists(forest, 2):
@@ -242,7 +245,7 @@ def check_main(max_n: int = 8, shards: int = 1, shard_index: int = 0,
                         _payload(forest, "2-class realization invalid", 2)
                     )
             for k in range(3, n + 1):
-                verdict = decide(forest, k).colorable
+                verdict = profile.decide(k).colorable
                 truth = oracle_exists(forest, k)
                 report.checked += 1
                 if verdict != truth:
@@ -254,7 +257,7 @@ def check_main(max_n: int = 8, shards: int = 1, shard_index: int = 0,
                     two_color_gap += 1
                 if construct_yes and verdict:
                     try:
-                        coloring, _ = construct(forest, k)
+                        coloring, _ = construct(forest, k, profile)
                     except ProofStepError as exc:
                         report.counterexamples.append(
                             _payload(forest, f"construction step failed: {exc}", k)
@@ -315,11 +318,12 @@ def _cl2_check(forest: Forest, thorough: bool) -> dict | None:
     sides = side_profile(forest)
     if abs(sides.first[0] - sides.second[0]) > 1:
         return None
-    if not decide2(forest).colorable:
+    profile = DecisionProfile(forest)
+    if not profile.decide(2).colorable:
         return _payload(forest, "balanced tree not 2-colorable", 2)
     top = forest.n if thorough else 3
     for k in range(3, top + 1):
-        if not decide(forest, k).colorable:
+        if not profile.decide(k).colorable:
             return _payload(forest, "balanced tree rejected", k)
     return None
 
@@ -338,9 +342,9 @@ def _cl3_check(forest: Forest, thorough: bool) -> dict | None:
     if abs(sides.first[0] - sides.second[0]) <= 1:
         return None
     n = forest.n
-    profile = alpha_profile(forest)
+    alphas = alpha_profile(forest)
     thresholds = {
-        max(3, (n + profile[v] + 1) // (profile[v] + 1))
+        max(3, (n + alphas[v] + 1) // (alphas[v] + 1))
         for v in max_degree_vertices(forest)
     }
     if len(thresholds) != 1:
@@ -351,8 +355,9 @@ def _cl3_check(forest: Forest, thorough: bool) -> dict | None:
         )
     threshold = thresholds.pop()
     top = n if thorough else min(n, threshold + 1)
+    profile = DecisionProfile(forest)
     for k in range(3, top + 1):
-        if decide(forest, k).colorable != (k >= threshold):
+        if profile.decide(k).colorable != (k >= threshold):
             return _payload(forest, f"threshold {threshold} not exact", k)
     return None
 

@@ -14,12 +14,11 @@ from collections import Counter
 import hypothesis.strategies as st
 
 from equiforest import (
+    DecisionProfile,
     Forest,
     ForestError,
     ProofStepError,
     construct,
-    decide,
-    select_bipartition,
     verify,
 )
 from equiforest.generators import FamilySpec, gen_family
@@ -169,12 +168,13 @@ def leaf_branch_sweep(count: int):
     failures = []
     for seed in range(count):
         forest = leaf_heavy_forest(seed)
-        side = select_bipartition(forest)
+        profile = DecisionProfile(forest)
+        side = profile.bipartition
         for k in range(3, 9):
-            if side.b >= forest.n // k or not decide(forest, k).colorable:
+            if side.b >= forest.n // k or not profile.decide(k).colorable:
                 continue
             try:
-                coloring, trace = construct(forest, k)
+                coloring, trace = construct(forest, k, profile)
             except ProofStepError as exc:
                 failures.append((seed, k, f"step failed: {exc}"))
                 continue

@@ -5,7 +5,9 @@ from collections import Counter
 
 import pytest
 
+import equiforest.equitable as equitable
 from equiforest import (
+    DecisionProfile,
     Forest,
     NotColorableError,
     EquitableColoring,
@@ -31,7 +33,7 @@ from equiforest.constructor import (
 )
 from equiforest.generators import FamilySpec, gen_family
 
-from conftest import leaf_branch_sweep, random_bipartite_tree
+from conftest import leaf_branch_sweep, leaf_heavy_forest, random_bipartite_tree
 
 
 def path(n):
@@ -168,6 +170,55 @@ class TestConstructSweeps:
             for k in (3, 5, 9):
                 if decide(f, k).colorable:
                     assert_sound(f, k)
+
+
+def _construct_outcome(forest, k, profile=None):
+    try:
+        return construct(forest, k, profile)
+    except NotColorableError:
+        return "not colorable"
+
+
+class TestConstructProfile:
+    """construct(forest, k, profile) reads the caller's DecisionProfile
+    and gives exactly what construct(forest, k) gives."""
+
+    def test_profile_of_another_forest_rejected(self):
+        f = path(6)
+        twin = parse_forest("6\n0 1\n1 2\n2 3\n3 4\n4 5")
+        assert twin == f and twin is not f
+        with pytest.raises(ValueError, match="another forest"):
+            construct(f, 3, DecisionProfile(twin))
+
+    def test_profile_makes_no_decision_walk(self, monkeypatch):
+        f = gen_family(FamilySpec("caterpillar", (5, 5, 0, 1, 0, 1)))
+        profile = DecisionProfile(f)
+        profile.bipartition
+        expected = construct(f, 3)
+
+        def forbidden(*args):
+            raise AssertionError("construct recomputed the decision")
+
+        for name in ("alpha_x", "select_bipartition", "decide", "decide2"):
+            monkeypatch.setattr(equitable, name, forbidden)
+        assert construct(f, 3, profile) == expected
+        assert expected[1].branch == BRANCH_PIVOT_SINGLE
+
+    def test_same_result_on_small_trees(self):
+        for n in range(1, 7):
+            for f in enumerate_labeled_trees(n):
+                profile = DecisionProfile(f)
+                for k in range(3, n + 1):
+                    assert (_construct_outcome(f, k, profile)
+                            == _construct_outcome(f, k)), (f, k)
+
+    def test_same_result_on_leaf_heavy_forests(self):
+        for seed in range(200):
+            f = leaf_heavy_forest(seed)
+            profile = DecisionProfile(f)
+            for k in range(3, 9):
+                assert (_construct_outcome(f, k, profile)
+                        == _construct_outcome(f, k)), (seed, k)
 
 
 class TestLeafBranchesInBulk:

@@ -4,6 +4,8 @@ from itertools import product
 
 import pytest
 
+import equiforest.constructor as constructor
+import equiforest.equitable as equitable
 import equiforest.harness as harness
 from equiforest.constructor import ProofStepError
 from equiforest.forest import parse_forest
@@ -22,7 +24,7 @@ from equiforest.harness import (
     merge_reports,
     run_checks,
 )
-from equiforest.oracle import num_labeled_trees
+from equiforest.oracle import enumerate_labeled_trees, num_labeled_trees
 
 
 class TestEquiv:
@@ -76,8 +78,37 @@ class TestSuites:
             num_labeled_trees(n) * (n - 2) if n > 2 else 0 for n in range(3, 7)
         )
 
+    def test_main_decides_each_tree_once(self, monkeypatch):
+        # one alpha_x per tree with a unique maximum-degree vertex, and at
+        # most one bipartition per tree, however many k it is decided and
+        # constructed at
+        calls = {"alpha_x": 0, "select_bipartition": 0}
+
+        def counting(name, original):
+            def wrapped(*args):
+                calls[name] += 1
+                return original(*args)
+            return wrapped
+
+        monkeypatch.setattr(equitable, "alpha_x", counting("alpha_x", equitable.alpha_x))
+        for module in (equitable, constructor):
+            if hasattr(module, "select_bipartition"):
+                monkeypatch.setattr(module, "select_bipartition", counting(
+                    "select_bipartition", module.select_bipartition))
+        trees = unique_max = 0
+        for n in range(3, 7):
+            for f in enumerate_labeled_trees(n):
+                degrees = [f.degree(v) for v in range(n)]
+                trees += 1
+                unique_max += degrees.count(max(degrees)) == 1
+        assert (trees, unique_max) == (1440, 918)
+        report = check_main(6, construct_yes=True)
+        assert report.checked == 5594 and report.ok
+        assert calls["alpha_x"] <= unique_max
+        assert calls["select_bipartition"] <= trees
+
     def test_main_records_step_failure_as_counterexample(self, monkeypatch):
-        def boom(forest, k):
+        def boom(forest, k, profile=None):
             raise ProofStepError("synthetic step failure", None)
 
         monkeypatch.setattr(harness, "construct", boom)
