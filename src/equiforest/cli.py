@@ -232,7 +232,7 @@ def _table_rows(family: str, lo: int, hi: int):
         profile = DecisionProfile(forest)
         side = profile.bipartition
         bound = lower_bound(forest)
-        chi = profile.chromatic_number()
+        chi = equitable_chromatic_number(forest, bound)
         if chi >= 3:
             _, trace = construct(forest, chi, profile)
             branch = trace.branch

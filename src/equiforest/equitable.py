@@ -3,8 +3,7 @@
 For k >= 3 a forest is equitably k-colorable exactly when every vertex x
 satisfies alpha_x >= floor(n/k); a violation can only happen at the
 unique maximum-degree vertex.  So one number per forest, alpha_x at that
-vertex, decides every k >= 3 and gives the equitable chromatic number;
-DecisionProfile computes it once.  k = 2 reduces to choosing, per
+vertex, decides every k >= 3; DecisionProfile computes it once.  k = 2 reduces to choosing, per
 component, which side of its 2-coloring joins the smaller class so the
 chosen sides sum to floor(n/2).  k = 1 requires an edgeless forest.
 """
@@ -15,7 +14,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .forest import Bipartition, Forest, SideProfile, select_bipartition, side_profile
-from .stability import LowerBoundReport, alpha_x
+from .stability import LowerBoundReport, alpha_x, lower_bound
 
 
 @dataclass(frozen=True)
@@ -70,10 +69,10 @@ class DecisionProfile:
 
     The criterion for k >= 3 reads one number: alpha_x at the unique
     maximum-degree vertex, or nothing when that vertex is not unique.
-    So one degree scan and at most one ``alpha_x`` walk, both done when
-    the profile is built, answer ``decide(k)`` for every k >= 3 and the
-    equitable chromatic number.  The construction's ``bipartition`` and
-    the k = 2 report are computed when first read and then kept.
+    So one degree scan, done when the profile is built, and at most one
+    ``alpha_x`` walk answer ``decide(k)`` for every k >= 3.  That walk
+    (``vertex_alpha``), the construction's ``bipartition`` and the k = 2
+    report are computed when first read and then kept.
 
     ``vertex`` is the unique maximum-degree vertex (None when the maximum
     degree is shared, or the forest is empty) and ``vertex_alpha`` its
@@ -82,11 +81,13 @@ class DecisionProfile:
 
     def __init__(self, forest: Forest):
         self.forest = forest
-        degrees = list(map(len, forest.adjacency))
-        dmax = max(degrees, default=0)
-        vertex = degrees.index(dmax) if degrees.count(dmax) == 1 else None
-        self.vertex = vertex
-        self.vertex_alpha = None if vertex is None else alpha_x(forest, vertex)
+        candidates = max_degree_vertices(forest)
+        self.vertex = candidates[0] if len(candidates) == 1 else None
+
+    @cached_property
+    def vertex_alpha(self) -> int | None:
+        """``alpha_x`` at ``vertex``; None when there is no such vertex."""
+        return None if self.vertex is None else alpha_x(self.forest, self.vertex)
 
     @cached_property
     def bipartition(self) -> Bipartition:
@@ -128,26 +129,6 @@ class DecisionProfile:
             )
         return DecisionReport(k=k, colorable=True, threshold=threshold,
                               note="criterion satisfied")
-
-    def chromatic_number(self) -> int:
-        """Least k admitting an equitable k-coloring; 0 for the empty forest.
-
-        Past k = 2 the threshold alpha_x >= floor(n/k) is monotone in k,
-        so the answer is max(3, ceil((n+1)/(alpha_x+1))) at ``vertex``,
-        and 3 when the maximum degree is not unique: only the unique
-        maximum-degree vertex can force more than 3 classes.
-        """
-        forest = self.forest
-        if forest.n == 0:
-            return 0
-        if decide1(forest).colorable:
-            return 1
-        if self._report2.colorable:
-            return 2
-        if self.vertex is None:
-            return 3
-        ax = self.vertex_alpha
-        return max(3, (forest.n + ax + 1) // (ax + 1))
 
 
 def decide(forest: Forest, k: int) -> DecisionReport:
@@ -235,33 +216,26 @@ def decide1(forest: Forest) -> DecisionReport:
 
 
 def decide_any(forest: Forest, k: int) -> DecisionReport:
-    """Dispatch to the k = 1, k = 2, or k >= 3 decision; only k >= 3
-    builds a ``DecisionProfile``."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if k == 1:
-        return decide1(forest)
-    if k == 2:
-        return decide2(forest)
-    return decide(forest, k)
+    """Is the forest equitably k-colorable, for any k >= 1?"""
+    return DecisionProfile(forest).decide(k)
 
 
 def equitable_chromatic_number(forest: Forest,
                                bound: LowerBoundReport | None = None) -> int:
     """Least k admitting an equitable k-coloring; 0 for the empty forest.
 
-    Without ``bound`` this is ``DecisionProfile(forest).chromatic_number()``.
-    A caller that already holds the forest's ``lower_bound`` report passes
-    it as ``bound``: k = 1 and k = 2 are then tested explicitly and the
-    answer past them is the larger of 3 and the bound, with no further
-    stability walk.
+    k = 1 and k = 2 are tested explicitly; for k >= 3 the per-vertex
+    threshold is monotone in k, so the answer is the larger of 3 and the
+    stability lower bound.  A caller that already holds the forest's
+    ``lower_bound`` report passes it as ``bound``, so the stability
+    profile is computed once.
     """
-    if bound is None:
-        return DecisionProfile(forest).chromatic_number()
     if forest.n == 0:
         return 0
     if decide1(forest).colorable:
         return 1
     if decide2(forest).colorable:
         return 2
+    if bound is None:
+        bound = lower_bound(forest)
     return max(3, bound.value)

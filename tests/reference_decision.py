@@ -1,21 +1,14 @@
 """The per-k decision as it stood before DecisionProfile, kept verbatim
-as the differential reference for ``DecisionProfile.decide`` and
-``DecisionProfile.chromatic_number``.
+as the differential reference for ``DecisionProfile.decide``.
 
-``decide`` rescans the degrees and runs ``alpha_x`` for every k;
-``equitable_chromatic_number`` reads the all-vertex ``lower_bound``.
+``decide`` rescans the degrees and runs ``alpha_x`` for every k.
 """
 
 from __future__ import annotations
 
-from equiforest.equitable import (
-    DecisionReport,
-    decide1,
-    decide2,
-    max_degree_vertices,
-)
+from equiforest.equitable import DecisionReport, max_degree_vertices
 from equiforest.forest import Forest
-from equiforest.stability import LowerBoundReport, alpha_x, lower_bound
+from equiforest.stability import alpha_x
 
 
 def decide(forest: Forest, k: int) -> DecisionReport:
@@ -50,24 +43,3 @@ def decide(forest: Forest, k: int) -> DecisionReport:
             )
             break
     return verdict
-
-
-def equitable_chromatic_number(forest: Forest,
-                               bound: LowerBoundReport | None = None) -> int:
-    """Least k admitting an equitable k-coloring; 0 for the empty forest.
-
-    k = 1 and k = 2 are tested explicitly; for k >= 3 the per-vertex
-    threshold is monotone in k, so the answer is the larger of 3 and the
-    stability lower bound.  A caller that already holds the forest's
-    ``lower_bound`` report passes it as ``bound``, so the stability
-    profile is computed once.
-    """
-    if forest.n == 0:
-        return 0
-    if decide1(forest).colorable:
-        return 1
-    if decide2(forest).colorable:
-        return 2
-    if bound is None:
-        bound = lower_bound(forest)
-    return max(3, bound.value)

@@ -191,8 +191,10 @@ class TestConstructProfile:
             construct(f, 3, DecisionProfile(twin))
 
     def test_profile_makes_no_decision_walk(self, monkeypatch):
+        # a caller that already decided with its profile pays no second walk
         f = gen_family(FamilySpec("caterpillar", (5, 5, 0, 1, 0, 1)))
         profile = DecisionProfile(f)
+        profile.decide(3)
         profile.bipartition
         expected = construct(f, 3)
 

@@ -226,7 +226,6 @@ class TestDecisionProfile:
     def test_star5(self):
         profile = DecisionProfile(star(5))
         assert (profile.vertex, profile.vertex_alpha) == (0, 1)
-        assert profile.chromatic_number() == 4
         assert not profile.decide(3).colorable and profile.decide(4).colorable
 
     def test_shared_maximum_degree_has_no_vertex(self):
@@ -235,46 +234,46 @@ class TestDecisionProfile:
             "12\n0 1\n0 2\n0 3\n4 5\n4 6\n4 7\n8 9\n8 10\n8 11"))
         assert profile.vertex is profile.vertex_alpha is None
         assert profile.decide(3).note == "criterion satisfied (maximum degree not unique)"
-        assert profile.chromatic_number() == 3
 
     def test_empty_forest(self):
         profile = DecisionProfile(parse_forest("0"))
         assert profile.vertex is None
         assert profile.decide(5).note == "empty forest"
-        assert profile.chromatic_number() == 0
 
     def test_rejects_k_zero(self):
         with pytest.raises(ValueError):
             DecisionProfile(path(3)).decide(0)
 
-    def test_bipartition_and_k2_report_are_lazy_and_kept(self, monkeypatch):
-        calls = {"select_bipartition": 0, "decide2": 0}
+    def test_walks_are_lazy_and_kept(self, monkeypatch):
+        calls = {"alpha_x": 0, "select_bipartition": 0, "decide2": 0}
 
         def counting(name):
             original = getattr(equitable, name)
 
-            def wrapped(forest):
+            def wrapped(*args):
                 calls[name] += 1
-                return original(forest)
+                return original(*args)
             return wrapped
 
         for name in calls:
             monkeypatch.setattr(equitable, name, counting(name))
         f = gen_family(FamilySpec("paper3path", (3,)))
         profile = DecisionProfile(f)
+        profile.decide(1)
+        profile.decide(2)
+        assert calls == {"alpha_x": 0, "select_bipartition": 0, "decide2": 1}
         for k in range(3, f.n + 1):
             profile.decide(k)
-        assert calls == {"select_bipartition": 0, "decide2": 0}
+        assert calls == {"alpha_x": 1, "select_bipartition": 0, "decide2": 1}
         assert profile.bipartition is profile.bipartition
         assert profile.decide(2) is profile.decide(2)
-        profile.chromatic_number()
-        assert calls == {"select_bipartition": 1, "decide2": 1}
+        assert calls == {"alpha_x": 1, "select_bipartition": 1, "decide2": 1}
 
 
 class TestDecisionProfileAgainstReference:
     """DecisionProfile against the per-k decision it replaced: an equal
-    DecisionReport (every compared field, note included) at every k >= 3,
-    and the chromatic number of the all-vertex lower bound."""
+    DecisionReport (every compared field, note included) at every k >= 3.
+    The equitable chromatic number is the least k the profile accepts."""
 
     @staticmethod
     def _check(f, notes):
@@ -286,9 +285,9 @@ class TestDecisionProfileAgainstReference:
             notes.add(expected.note)
         assert profile.decide(1) == decide1(f)
         assert profile.decide(2) == decide2(f)
-        chi = reference_decision.equitable_chromatic_number(f, lower_bound(f))
-        assert profile.chromatic_number() == chi, f
-        assert equitable_chromatic_number(f) == chi, f
+        chi = equitable_chromatic_number(f)
+        accepted = [k for k in range(1, chi + 1) if profile.decide(k).colorable]
+        assert accepted == ([chi] if chi else []), f
 
     def test_all_labeled_forests(self):
         notes = set()
