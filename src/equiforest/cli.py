@@ -204,16 +204,13 @@ def cmd_check_theorems(args) -> int:
         result[name] = {
             "max_n": rep.max_n,
             "checked": rep.checked,
-            "certified": rep.certified,
-            "sampled": rep.sampled,
             "counterexamples": len(rep.counterexamples),
             "notes": rep.notes,
         }
         for entry in rep.counterexamples:
             counterexamples.append(dict(entry, suite=name))
         lines.append(
-            f"{name}: checked={rep.checked} certified={rep.certified}"
-            f" sampled={rep.sampled}"
+            f"{name}: checked={rep.checked}"
             f" counterexamples={len(rep.counterexamples)}"
             f" -> {'ok' if rep.ok else 'FAIL'}"
         )

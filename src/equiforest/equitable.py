@@ -13,7 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .forest import Bipartition, Forest, SideProfile, select_bipartition, side_profile
+from .forest import (
+    Bipartition,
+    Forest,
+    SideProfile,
+    max_degree_vertices,
+    select_bipartition,
+    side_profile,
+)
 from .stability import LowerBoundReport, alpha_x, lower_bound
 
 
@@ -55,13 +62,6 @@ class DecisionReport:
     orientation: tuple[bool, ...] | None = None
     note: str = ""
     sides: SideProfile | None = field(default=None, repr=False, compare=False)
-
-
-def max_degree_vertices(forest: Forest) -> tuple[int, ...]:
-    dmax = forest.max_degree
-    return tuple(
-        v for v in range(forest.n) if len(forest.adjacency[v]) == dmax
-    )
 
 
 class DecisionProfile:

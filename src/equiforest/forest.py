@@ -195,6 +195,12 @@ class Forest:
             raise ForestError("representation inconsistent with edge set")
 
 
+def max_degree_vertices(forest: Forest) -> tuple[int, ...]:
+    """The vertices of maximum degree, in increasing order."""
+    dmax = forest.max_degree
+    return tuple(v for v in range(forest.n) if len(forest.adjacency[v]) == dmax)
+
+
 def _component_labels(
     n: int, adjacency: tuple[tuple[int, ...], ...]
 ) -> tuple[list[int], int]:

@@ -1,57 +1,59 @@
-"""Exhaustive checking harness over labeled trees.
+"""Exhaustive checking harness over trees.
 
 Suites (addressable from the CLI as ``--which`` codes):
 
 * ``main``  - decision procedure vs. brute-force oracle, k in 3..n (n <= 8).
 * ``lemma`` - every vertex forcing more than 3 classes is the unique
-  maximum-degree vertex (n <= 9).
+  maximum-degree vertex (n <= 14).
 * ``bg``    - trees with n >= 3*Delta - 8 or n = 3*Delta - 10 are equitably
-  3-colorable (n <= 10).
+  3-colorable (n <= 14).
 * ``cl2``   - trees whose bipartition sides differ by at most 1 are
-  equitably k-colorable for every k >= 2 (n <= 10).
+  equitably k-colorable for every k >= 2 (n <= 14).
 * ``cl3``   - trees with side difference >= 2 are equitably k-colorable
   exactly for k >= max(3, ceil((n+1)/(alpha_v+1))), v of maximum degree
-  (n <= 10).
+  (n <= 14).
 * ``equiv`` - the integer identity k >= ceil((n+1)/(a+1)) <=>
   a >= floor(n/k), exhaustive over 1 <= a <= n <= max_n, 1 <= k <= n.
 
-Trees with n <= 8 are evaluated one by one.  For n >= 9 a sweep uses the
-half-order stability bound: every vertex of degree d has
-alpha_x >= 1 + ceil((n-1-d)/2), so trees whose maximum degree stays below
-a threshold provably cannot violate any swept property; only the rare
-high-degree candidates (enumerated directly from Prufer-word symbol
-counts) plus a deterministic stride sample are evaluated explicitly.
-The bound itself is exhaustively tested at small n in the test suite.
+Levels with n <= 8 walk every labeled tree, in Prufer-word order.  The
+lemma, bg, cl2 and cl3 properties do not depend on vertex labels, so
+their levels n >= 9 walk one tree per isomorphism class instead
+(``oracle.unlabeled_trees``: 47 at n = 9, 3,159 at n = 14), which covers
+every tree of that order.
 
-Sharding splits each level's Prufer index space into contiguous ranges;
-report merging is a plain fold, so shards need no coordination.
+Sharding splits each level's index space (Prufer words, or the fixed
+class order) into contiguous ranges; report merging is a plain fold, so
+shards need no coordination.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, product
 
 from .constructor import ProofStepError, construct, realize2, verify
-from .equitable import DecisionProfile, decide, max_degree_vertices
-from .forest import Forest, serialize_forest, side_profile
+from .equitable import DecisionProfile, decide
+from .forest import Forest, max_degree_vertices, serialize_forest, side_profile
 from .oracle import (
-    decode_prufer,
     labeled_trees_in_range,
     num_labeled_trees,
     oracle_exists,
+    unlabeled_trees,
 )
 from .stability import alpha_profile, major_vertex_check
 
 SUITES = ("main", "lemma", "bg", "cl2", "cl3", "equiv")
-SUITE_MAX_N = {"main": 8, "lemma": 9, "bg": 10, "cl2": 10, "cl3": 10, "equiv": 64}
-_EXACT_SWEEP_MAX = 8
-_DEFAULT_SAMPLES_PER_LEVEL = 2000
+SUITE_MAX_N = {"main": 8, "lemma": 14, "bg": 14, "cl2": 14, "cl3": 14, "equiv": 64}
+_LABELED_SWEEP_MAX = 8
 
 
 @dataclass
 class SuiteReport:
-    """Aggregated result of one suite run (possibly one shard of it)."""
+    """Aggregated result of one suite run (possibly one shard of it).
+
+    ``certified`` and ``sampled`` are always 0: every sweep evaluates each
+    tree it covers.  They remain only because the benchmark's correctness
+    gate (``perfbench/workloads.py``) still reads them.
+    """
 
     suite: str
     max_n: int
@@ -73,8 +75,6 @@ def merge_reports(left: SuiteReport, right: SuiteReport) -> SuiteReport:
         suite=left.suite,
         max_n=max(left.max_n, right.max_n),
         checked=left.checked + right.checked,
-        certified=left.certified + right.certified,
-        sampled=left.sampled + right.sampled,
         counterexamples=left.counterexamples + right.counterexamples,
         notes=left.notes + right.notes,
     )
@@ -99,95 +99,30 @@ def _shard_range(total: int, shards: int, shard_index: int) -> tuple[int, int]:
     return lo, min(lo + step, total)
 
 
-def certified_degree_cap(n: int) -> int:
-    """Largest maximum degree for which the half-order stability bound
-    alone certifies alpha_x >= floor(n/3) for every vertex (hence both
-    equitable 3-colorability and per-vertex bounds <= 3)."""
-    return n + 2 - 2 * (n // 3)
-
-
-def _candidate_indices(n: int, lo: int, hi: int) -> list[int]:
-    """Prufer indices in [lo, hi) of trees with some degree above the
-    certified cap, i.e. some word symbol with count >= cap."""
-    length = n - 2
-    cap = certified_degree_cap(n)
-    if cap > length:
-        return []
-    out = set()
-    weights = [n ** (length - 1 - pos) for pos in range(length)]
-    for symbol in range(n):
-        others = [s for s in range(n) if s != symbol]
-        for count in range(cap, length + 1):
-            for positions in combinations(range(length), count):
-                pos_set = set(positions)
-                free = [p for p in range(length) if p not in pos_set]
-                base = sum(symbol * weights[p] for p in positions)
-                for fill in product(others, repeat=len(free)):
-                    index = base + sum(f * weights[p] for p, f in zip(free, fill))
-                    if lo <= index < hi:
-                        out.add(index)
-    return sorted(out)
-
-
-def _tree_at(n: int, index: int) -> Forest:
-    length = n - 2
-    digits = []
-    rem = index
-    for pos in range(length):
-        rem, d = divmod(rem, n)
-        digits.append(d)
-    digits.reverse()
-    return Forest._from_tree_edges(n, decode_prufer(n, digits))
-
-
 def _sweep(report: SuiteReport, max_n: int, shards: int, shard_index: int,
-           tree_check, samples_per_level: int, min_n: int = 2) -> SuiteReport:
-    """Run tree_check over all trees with n <= max_n.
+           tree_check, min_n: int = 2) -> SuiteReport:
+    """Run tree_check over every tree with min_n <= n <= max_n.
 
-    tree_check(forest, thorough) returns a counterexample payload or
-    None.  Levels above _EXACT_SWEEP_MAX use the degree certificate:
-    only candidate trees and a stride sample are evaluated (thorough).
+    tree_check(forest) returns a counterexample payload or None.  Levels
+    up to _LABELED_SWEEP_MAX walk the labeled trees; larger levels walk
+    one tree per isomorphism class and note how many they covered.
     """
     for n in range(min_n, max_n + 1):
-        total = num_labeled_trees(n)
-        lo, hi = _shard_range(total, shards, shard_index)
-        if lo >= hi:
-            continue
-        if n <= _EXACT_SWEEP_MAX:
-            for forest in labeled_trees_in_range(n, lo, hi):
-                bad = tree_check(forest, False)
-                if bad is not None:
-                    report.counterexamples.append(bad)
-                report.checked += 1
-            continue
-        candidates = _candidate_indices(n, lo, hi)
-        for index in candidates:
-            forest = _tree_at(n, index)
-            bad = tree_check(forest, True)
+        if n <= _LABELED_SWEEP_MAX:
+            lo, hi = _shard_range(num_labeled_trees(n), shards, shard_index)
+            trees = labeled_trees_in_range(n, lo, hi)
+        else:
+            classes = list(unlabeled_trees(n))
+            lo, hi = _shard_range(len(classes), shards, shard_index)
+            trees = classes[lo:hi]
+            report.notes.append(
+                f"n={n}: {hi - lo} of {len(classes)} isomorphism classes checked"
+            )
+        for forest in trees:
+            bad = tree_check(forest)
             if bad is not None:
                 report.counterexamples.append(bad)
             report.checked += 1
-        candidate_set = set(candidates)
-        span = hi - lo
-        stride = max(1, span // max(1, samples_per_level))
-        sampled = 0
-        for index in range(lo, hi, stride):
-            if index in candidate_set:
-                continue
-            forest = _tree_at(n, index)
-            bad = tree_check(forest, True)
-            if bad is not None:
-                report.counterexamples.append(
-                    bad | {"detail": bad["detail"] + " (certified-range sample)"}
-                )
-            sampled += 1
-        report.sampled += sampled
-        report.certified += span - len(candidates) - sampled
-        report.notes.append(
-            f"n={n}: {span - len(candidates) - sampled} trees certified by max"
-            f" degree <= {certified_degree_cap(n)}, {len(candidates)} candidates"
-            f" and {sampled} samples evaluated explicitly"
-        )
     return report
 
 
@@ -275,7 +210,7 @@ def check_main(max_n: int = 8, shards: int = 1, shard_index: int = 0,
     return report
 
 
-def _lemma_check(forest: Forest, thorough: bool) -> dict | None:
+def _lemma_check(forest: Forest) -> dict | None:
     outcome = major_vertex_check(forest)
     if outcome.ok:
         return None
@@ -286,17 +221,15 @@ def _lemma_check(forest: Forest, thorough: bool) -> dict | None:
     )
 
 
-def check_lemma(max_n: int = 9, shards: int = 1, shard_index: int = 0,
-                samples_per_level: int = _DEFAULT_SAMPLES_PER_LEVEL) -> SuiteReport:
-    """Unique-major-vertex property over all labeled trees n <= max_n."""
+def check_lemma(max_n: int = 14, shards: int = 1, shard_index: int = 0) -> SuiteReport:
+    """Unique-major-vertex property over all trees n <= max_n."""
     if not 1 <= max_n <= SUITE_MAX_N["lemma"]:
         raise ValueError(f"lemma supports max_n in 1..{SUITE_MAX_N['lemma']}")
     report = SuiteReport(suite="lemma", max_n=max_n)
-    return _sweep(report, max_n, shards, shard_index, _lemma_check,
-                  samples_per_level, min_n=1)
+    return _sweep(report, max_n, shards, shard_index, _lemma_check, min_n=1)
 
 
-def _bg_check(forest: Forest, thorough: bool) -> dict | None:
+def _bg_check(forest: Forest) -> dict | None:
     n, dmax = forest.n, forest.max_degree
     if not (n >= 3 * dmax - 8 or n == 3 * dmax - 10):
         return None
@@ -305,39 +238,36 @@ def _bg_check(forest: Forest, thorough: bool) -> dict | None:
     return _payload(forest, f"Delta={dmax} qualifies but decide says no", 3)
 
 
-def check_bg(max_n: int = 10, shards: int = 1, shard_index: int = 0,
-             samples_per_level: int = _DEFAULT_SAMPLES_PER_LEVEL) -> SuiteReport:
+def check_bg(max_n: int = 14, shards: int = 1, shard_index: int = 0) -> SuiteReport:
     """Order-vs-max-degree sufficient condition for 3-colorability."""
     if not 1 <= max_n <= SUITE_MAX_N["bg"]:
         raise ValueError(f"bg supports max_n in 1..{SUITE_MAX_N['bg']}")
     report = SuiteReport(suite="bg", max_n=max_n)
-    return _sweep(report, max_n, shards, shard_index, _bg_check, samples_per_level)
+    return _sweep(report, max_n, shards, shard_index, _bg_check)
 
 
-def _cl2_check(forest: Forest, thorough: bool) -> dict | None:
+def _cl2_check(forest: Forest) -> dict | None:
     sides = side_profile(forest)
     if abs(sides.first[0] - sides.second[0]) > 1:
         return None
     profile = DecisionProfile(forest)
     if not profile.decide(2).colorable:
         return _payload(forest, "balanced tree not 2-colorable", 2)
-    top = forest.n if thorough else 3
-    for k in range(3, top + 1):
+    for k in range(3, forest.n + 1):
         if not profile.decide(k).colorable:
             return _payload(forest, "balanced tree rejected", k)
     return None
 
 
-def check_cl2(max_n: int = 10, shards: int = 1, shard_index: int = 0,
-              samples_per_level: int = _DEFAULT_SAMPLES_PER_LEVEL) -> SuiteReport:
+def check_cl2(max_n: int = 14, shards: int = 1, shard_index: int = 0) -> SuiteReport:
     """Balanced-bipartition trees are k-colorable for every k >= 2."""
     if not 2 <= max_n <= SUITE_MAX_N["cl2"]:
         raise ValueError(f"cl2 supports max_n in 2..{SUITE_MAX_N['cl2']}")
     report = SuiteReport(suite="cl2", max_n=max_n)
-    return _sweep(report, max_n, shards, shard_index, _cl2_check, samples_per_level)
+    return _sweep(report, max_n, shards, shard_index, _cl2_check)
 
 
-def _cl3_check(forest: Forest, thorough: bool) -> dict | None:
+def _cl3_check(forest: Forest) -> dict | None:
     sides = side_profile(forest)
     if abs(sides.first[0] - sides.second[0]) <= 1:
         return None
@@ -354,21 +284,19 @@ def _cl3_check(forest: Forest, thorough: bool) -> dict | None:
             forest, f"max-degree vertices disagree on the threshold: {thresholds}"
         )
     threshold = thresholds.pop()
-    top = n if thorough else min(n, threshold + 1)
     profile = DecisionProfile(forest)
-    for k in range(3, top + 1):
+    for k in range(3, n + 1):
         if profile.decide(k).colorable != (k >= threshold):
             return _payload(forest, f"threshold {threshold} not exact", k)
     return None
 
 
-def check_cl3(max_n: int = 10, shards: int = 1, shard_index: int = 0,
-              samples_per_level: int = _DEFAULT_SAMPLES_PER_LEVEL) -> SuiteReport:
+def check_cl3(max_n: int = 14, shards: int = 1, shard_index: int = 0) -> SuiteReport:
     """Unbalanced trees: colorable exactly from the max-degree threshold."""
     if not 2 <= max_n <= SUITE_MAX_N["cl3"]:
         raise ValueError(f"cl3 supports max_n in 2..{SUITE_MAX_N['cl3']}")
     report = SuiteReport(suite="cl3", max_n=max_n)
-    return _sweep(report, max_n, shards, shard_index, _cl3_check, samples_per_level)
+    return _sweep(report, max_n, shards, shard_index, _cl3_check)
 
 
 _CHECKERS = {

@@ -1,6 +1,6 @@
 """Independent ground truth for small instances: brute-force equitable
-colorability, brute-force stability numbers, and exhaustive labeled-tree
-enumeration via Prufer words.
+colorability, brute-force stability numbers, exhaustive labeled-tree
+enumeration via Prufer words, and one tree per isomorphism class.
 
 Nothing here shares logic with the decision procedures it is used to
 check; the search code works directly from the definitions.
@@ -227,6 +227,66 @@ def labeled_trees_in_range(n: int, start: int, stop: int):
             if word[pos] < n:
                 break
             word[pos] = 0
+
+
+def _is_centre_rooted(seq: list[int], m: int) -> bool:
+    # Rooted at a centre: the first branch is at most one level deeper
+    # than the rest.  One level deeper means a bicentre; of its two
+    # rootings keep the one whose first subtree is not larger (by size,
+    # then level sequence) than the rest.
+    h1, h2 = max(seq[1:m]), max(seq[m:], default=0)
+    if h2 != h1 - 1:
+        return h2 >= h1
+    left, rest = [x - 1 for x in seq[1:m]], [0] + seq[m:]
+    return (len(left), left) <= (len(rest), rest)
+
+
+def _next_rooted(seq: list[int], p: int) -> None:
+    # Beyer-Hedetniemi successor that moves position p (level >= 2) up
+    # one level and refills the tail by copying from p's parent on.
+    q = p - 1
+    while seq[q] != seq[p] - 1:
+        q -= 1
+    for i in range(p, len(seq)):
+        seq[i] = seq[i - p + q]
+
+
+def unlabeled_trees(n: int):
+    """One tree per isomorphism class of trees on n vertices (OEIS A000055).
+
+    The classes are the centre-rooted canonical level sequences (preorder
+    depths, children in decreasing order) of Wright, Richmond, Odlyzko
+    and McKay (SIAM J. Comput. 15, 1986), walked in decreasing
+    lexicographic order from the centred path to the star by the
+    Beyer-Hedetniemi successor.  For a fixed first subtree the valid
+    rests form a prefix of that order, so a rejected sequence jumps
+    straight to the next first subtree.  Vertex i of a yielded tree is
+    position i of its level sequence, and the order is fixed, so index
+    ranges shard it.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if n == 1:
+        yield Forest._from_tree_edges(1, ())
+        return
+    seq = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
+    while True:
+        m = seq.index(1, 2) if 1 in seq[2:] else n  # end of the first subtree
+        if not _is_centre_rooted(seq, m):
+            _next_rooted(seq, m - 1)
+            continue
+        last = [0] * n  # last[d]: latest position seen at depth d
+        edges = []
+        for i in range(1, n):
+            edges.append((last[seq[i] - 1], i))
+            last[seq[i]] = i
+        yield Forest._from_tree_edges(n, edges)
+        p = n - 1
+        while seq[p] == 1:
+            p -= 1
+        if p == 0:
+            return
+        _next_rooted(seq, p)
 
 
 def enumerate_labeled_trees(n: int, cap: int = 8):

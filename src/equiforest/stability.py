@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from heapq import nlargest
 from itertools import chain
 
-from .forest import Bipartition, Forest
+from .forest import Bipartition, Forest, max_degree_vertices
 
 
 def _rooted(adjacency, first: int | None = None):
@@ -190,8 +190,7 @@ def major_vertex_check(forest: Forest) -> MajorVertexReport:
     high = tuple(x for x in range(n) if bounds[x] > 3)
     if not high:
         return MajorVertexReport(applicable=False, ok=True, bound=top)
-    dmax = forest.max_degree
-    dset = tuple(v for v in range(n) if len(forest.adjacency[v]) == dmax)
+    dset = max_degree_vertices(forest)
     ok = len(dset) == 1 and all(x == dset[0] for x in high)
     return MajorVertexReport(
         applicable=True,

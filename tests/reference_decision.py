@@ -6,8 +6,8 @@ as the differential reference for ``DecisionProfile.decide``.
 
 from __future__ import annotations
 
-from equiforest.equitable import DecisionReport, max_degree_vertices
-from equiforest.forest import Forest
+from equiforest.equitable import DecisionReport
+from equiforest.forest import Forest, max_degree_vertices
 from equiforest.stability import alpha_x
 
 

@@ -146,44 +146,56 @@ def test_criterion_3_construction_soundness(main_sweep, two_color_sweep):
     )
 
 
+def class_counts(report):
+    """The per-level class counts from a sweep's notes, e.g. 'n=9: 47'."""
+    return ", ".join(note.split(" of ")[0] for note in report.notes)
+
+
+def covers_every_tree(report):
+    # every labeled tree for n <= 8, one per class (A000055) for n = 9..14
+    first = 1 if report.suite == "lemma" else 2
+    labeled = sum(num_labeled_trees(n) for n in range(first, 9))
+    classes = 47 + 106 + 235 + 551 + 1301 + 3159
+    return (report.checked == labeled + classes
+            and report.certified == report.sampled == 0)
+
+
 def test_criterion_4_major_vertex_lemma():
     start = time.perf_counter()
-    outcome = check_lemma(9)
+    outcome = check_lemma(14)
     elapsed = time.perf_counter() - start
     report_line(
-        4, "bound>3 vertices are the unique max-degree vertex, n<=9",
-        outcome.ok,
-        f"(checked {outcome.checked}, certified {outcome.certified},"
-        f" sampled {outcome.sampled}, {len(outcome.counterexamples)}"
-        f" counterexamples, {elapsed:.0f}s)",
+        4, "bound>3 vertices are the unique max-degree vertex, n<=14",
+        outcome.ok and covers_every_tree(outcome),
+        f"(checked {outcome.checked}; classes {class_counts(outcome)};"
+        f" {len(outcome.counterexamples)} counterexamples, {elapsed:.0f}s)",
     )
 
 
 def test_criterion_5_order_vs_degree_three_colorability():
     start = time.perf_counter()
-    outcome = check_bg(10)
+    outcome = check_bg(14)
     elapsed = time.perf_counter() - start
     report_line(
-        5, "n >= 3*Delta-8 (or = 3*Delta-10) implies 3-colorable, n<=10",
-        outcome.ok,
-        f"(checked {outcome.checked}, certified {outcome.certified},"
-        f" sampled {outcome.sampled}, {len(outcome.counterexamples)}"
-        f" counterexamples, {elapsed:.0f}s)",
+        5, "n >= 3*Delta-8 (or = 3*Delta-10) implies 3-colorable, n<=14",
+        outcome.ok and covers_every_tree(outcome),
+        f"(checked {outcome.checked}; classes {class_counts(outcome)};"
+        f" {len(outcome.counterexamples)} counterexamples, {elapsed:.0f}s)",
     )
 
 
 def test_criterion_6_balanced_and_threshold_characterizations():
     start = time.perf_counter()
-    balanced = check_cl2(10)
-    threshold = check_cl3(10)
+    balanced = check_cl2(14)
+    threshold = check_cl3(14)
     elapsed = time.perf_counter() - start
-    ok = balanced.ok and threshold.ok
+    ok = (balanced.ok and threshold.ok and covers_every_tree(balanced)
+          and covers_every_tree(threshold))
     report_line(
         6, "balanced trees colorable for k>=2; unbalanced exact at threshold,"
-        " n<=10", ok,
-        f"(balanced: {balanced.checked} checked/{balanced.certified} certified;"
-        f" threshold: {threshold.checked} checked/{threshold.certified}"
-        f" certified; counterexamples"
+        " n<=14", ok,
+        f"(balanced: {balanced.checked} checked; threshold: {threshold.checked}"
+        f" checked; classes {class_counts(threshold)}; counterexamples"
         f" {len(balanced.counterexamples) + len(threshold.counterexamples)},"
         f" {elapsed:.0f}s)",
     )

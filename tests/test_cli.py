@@ -255,6 +255,7 @@ class TestJsonOutput:
                         "--which", "equiv,bg", "--json", "--no-timing")
         data = self.schema_check(out)
         assert data["result"]["bg"]["counterexamples"] == 0
+        assert set(data["result"]["bg"]) == {"max_n", "checked", "counterexamples", "notes"}
 
     def test_golden_bytes_without_timing(self, capsys):
         a = run(capsys, "decide", "--k", "4", "family:star:6", "--json", "--no-timing")

@@ -1,6 +1,4 @@
-"""The exhaustive checking harness: sweeps, certificates, sharding."""
-
-from itertools import product
+"""The exhaustive checking harness: sweeps, isomorphism classes, sharding."""
 
 import pytest
 
@@ -8,13 +6,11 @@ import equiforest.constructor as constructor
 import equiforest.equitable as equitable
 import equiforest.harness as harness
 from equiforest.constructor import ProofStepError
+from equiforest.equitable import DecisionReport
 from equiforest.forest import parse_forest
 from equiforest.harness import (
     SUITE_MAX_N,
     SuiteReport,
-    _candidate_indices,
-    _tree_at,
-    certified_degree_cap,
     check_bg,
     check_cl2,
     check_cl3,
@@ -24,7 +20,14 @@ from equiforest.harness import (
     merge_reports,
     run_checks,
 )
-from equiforest.oracle import enumerate_labeled_trees, num_labeled_trees
+from equiforest.oracle import (
+    enumerate_labeled_trees,
+    num_labeled_trees,
+    unlabeled_trees,
+)
+
+# OEIS A000055: trees on n unlabeled vertices, n = 1..16
+A000055 = (1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159, 7741, 19320)
 
 
 class TestEquiv:
@@ -38,36 +41,66 @@ class TestEquiv:
             check_equiv(65)
 
 
-class TestCandidates:
-    def test_cap_values(self):
-        assert certified_degree_cap(9) == 5
-        assert certified_degree_cap(10) == 6
+def ahu_class(forest) -> str:
+    """Canonical string of a tree, independent of the generator: peel
+    leaves down to the centre (or bicentre), encode each centre-rooted
+    tree by sorted nested parentheses and keep the smaller encoding."""
+    adjacency = forest.adjacency
+    degree = [len(nbrs) for nbrs in adjacency]
+    layer = [v for v in range(forest.n) if degree[v] <= 1]
+    remaining = forest.n
+    while remaining > 2:
+        remaining -= len(layer)
+        peeled = []
+        for v in layer:
+            for w in adjacency[v]:
+                degree[w] -= 1
+                if degree[w] == 1:
+                    peeled.append(w)
+        layer = peeled
 
-    @pytest.mark.parametrize("n", [7, 8])
-    def test_enumeration_matches_full_scan(self, n):
-        cap = certified_degree_cap(n)
-        length = n - 2
-        expected = []
-        for index, word in enumerate(product(range(n), repeat=length)):
-            counts = [0] * n
-            for s in word:
-                counts[s] += 1
-            if max(counts) >= cap:
-                expected.append(index)
-        assert _candidate_indices(n, 0, n**length) == expected
+    def encode(v, parent):
+        return "(" + "".join(sorted(encode(w, v) for w in adjacency[v] if w != parent)) + ")"
 
-    def test_candidates_really_have_high_degree(self):
-        n = 9
-        for index in _candidate_indices(n, 0, num_labeled_trees(n))[:200]:
-            tree = _tree_at(n, index)
-            assert tree.max_degree > certified_degree_cap(n)
+    return min(encode(c, -1) for c in layer)
 
-    def test_range_restriction(self):
-        n = 9
-        full = _candidate_indices(n, 0, num_labeled_trees(n))
-        mid = len(full) // 2
-        lo, hi = full[mid], full[mid] + 1
-        assert _candidate_indices(n, lo, hi) == [full[mid]]
+
+class TestUnlabeledTrees:
+    def test_counts_match_a000055(self):
+        for n, expected in enumerate(A000055, 1):
+            count = 0
+            for forest in unlabeled_trees(n):
+                if n <= 12:
+                    forest.validate()
+                    assert forest.n == n and forest.num_components == 1
+                count += 1
+            assert count == expected, n
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_each_labeled_tree_has_exactly_one_class(self, n):
+        classes = [ahu_class(f) for f in unlabeled_trees(n)]
+        assert len(set(classes)) == len(classes)  # no two classes isomorphic
+        assert {ahu_class(f) for f in enumerate_labeled_trees(n)} == set(classes)
+
+    def test_rejects_empty_order(self):
+        with pytest.raises(ValueError):
+            next(unlabeled_trees(0))
+
+
+@pytest.fixture(scope="module")
+def planted_bg_sweep():
+    """check_bg(10) with a planted fault: decide rejects the 10-vertex
+    path, the only tree of that order with maximum degree 2."""
+    real = harness.decide
+
+    def planted(forest, k):
+        if forest.n == 10 and forest.max_degree == 2:
+            return DecisionReport(k=k, colorable=False)
+        return real(forest, k)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "decide", planted)
+        return check_bg(10)
 
 
 class TestSuites:
@@ -130,23 +163,35 @@ class TestSuites:
         assert check_cl2(7).ok
         assert check_cl3(8).ok
 
-    def test_certificate_levels_report_coverage(self):
-        report = check_bg(9, samples_per_level=50)
-        assert report.ok
-        assert report.certified > 4_000_000
-        assert report.sampled >= 40  # stride points hitting candidates are skipped
-        assert any("certified" in note for note in report.notes)
-        total = sum(num_labeled_trees(n) for n in range(2, 10))
-        assert report.checked + report.certified + report.sampled == total
+    def test_class_levels_report_coverage(self, planted_bg_sweep):
+        report = planted_bg_sweep
+        labeled = sum(num_labeled_trees(n) for n in range(2, 9))
+        assert report.checked == labeled + 47 + 106
+        assert report.certified == report.sampled == 0
+        assert report.notes == [
+            "n=9: 47 of 47 isomorphism classes checked",
+            "n=10: 106 of 106 isomorphism classes checked",
+        ]
+
+    def test_planted_fault_on_one_shape_reported_once(self, planted_bg_sweep):
+        [entry] = planted_bg_sweep.counterexamples
+        assert entry["n"] == 10 and entry["k"] == 3
+        assert parse_forest(entry["edges"]).max_degree == 2  # the path, replayable
 
     def test_sharding_is_a_partition(self):
-        whole = check_cl3(8)
-        shards = [check_cl3(8, shards=3, shard_index=i) for i in range(3)]
+        # n <= 8 splits Prufer ranges, n = 9 and 10 the class order
+        whole = check_cl3(10)
+        shards = [check_cl3(10, shards=3, shard_index=i) for i in range(3)]
         merged = shards[0]
         for piece in shards[1:]:
             merged = merge_reports(merged, piece)
         assert merged.checked == whole.checked
         assert merged.ok == whole.ok
+        covered = {}
+        for note in merged.notes:  # "n=9: 16 of 47 isomorphism classes checked"
+            level, rest = note.split(": ")
+            covered[level] = covered.get(level, 0) + int(rest.split()[0])
+        assert covered == {"n=9": 47, "n=10": 106}
 
     def test_merge_requires_same_suite(self):
         with pytest.raises(ValueError):
