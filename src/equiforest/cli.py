@@ -63,11 +63,36 @@ def _load_instance(spec: str) -> tuple[Forest, str]:
         return parse_forest(handle.read()), spec
 
 
+def _render(value, indent: str = "") -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)``, byte for byte.
+
+    With an indent, json.dumps walks the value in pure Python; here only
+    the containers are walked, each scalar and key goes through the C
+    encoder, and a list of plain ints (a coloring's ``assignment``, an
+    ``orientation``, ``sizes``) is joined in one C-level pass.
+    """
+    inner = indent + "  "
+    if isinstance(value, dict):
+        parts = [f"{json.dumps(key if isinstance(key, str) else json.dumps(key))}:"
+                 f" {_render(item, inner)}" for key, item in sorted(value.items())]
+        brackets = "{}"
+    elif isinstance(value, (list, tuple)):
+        flat = set(map(type, value)) == {int}  # bools are not plain ints
+        parts = map(str, value) if flat else [_render(item, inner) for item in value]
+        brackets = "[]"
+    else:
+        return json.dumps(value)
+    body = (",\n" + inner).join(parts)
+    if not body:
+        return brackets
+    return f"{brackets[0]}\n{inner}{body}\n{indent}{brackets[1]}"
+
+
 def _emit(args, report: dict, human_lines: list[str]) -> None:
     if getattr(args, "json", False):
         if not getattr(args, "no_timing", False):
             report = dict(report, timing_seconds=time.perf_counter() - args._t0)
-        print(json.dumps(report, sort_keys=True, indent=2))
+        print(_render(report))
     else:
         for line in human_lines:
             print(line)
@@ -140,16 +165,17 @@ def cmd_color(args) -> int:
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(format_coloring(coloring))
+    sizes = sorted(coloring.sizes())
     result = {
         "k": coloring.k,
         "n": forest.n,
         "branch": branch,
         "fallback_used": False,  # always false; kept for report readers
-        "sizes": sorted(coloring.sizes()),
+        "sizes": sizes,
         "assignment": list(coloring.assignment),
     }
     lines = [f"{name}: equitable {coloring.k}-coloring"
-             f" (branch {branch}, sizes {sorted(coloring.sizes())})"]
+             f" (branch {branch}, sizes {sizes})"]
     if not args.output and not args.json:
         lines.append(format_coloring(coloring).rstrip("\n"))
     _emit(args, _base_report(args, name, result), lines)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .equitable import DecisionProfile, class_sizes
-from .forest import Forest, leaves_in, side_profile
+from .forest import Forest, leaves_in
 from .stability import stable_set_of_size_min_b
 
 BRANCH_EMPTY = "empty"
@@ -99,20 +99,20 @@ def verify(forest: Forest, coloring: EquitableColoring) -> VerificationReport:
         raise ValueError("assignment does not cover the vertex set")
     if forest.n and coloring.k < 1:
         raise ValueError("k must be >= 1")
+    counts = [0] * coloring.k
     for c in assignment:
         if not 1 <= c <= coloring.k:
             raise ValueError(f"class index {c} outside 1..{coloring.k}")
+        counts[c - 1] += 1
     mono = tuple(
         (u, v) for u, v in forest.edges if assignment[u] == assignment[v]
     )
-    counts = [0] * coloring.k
-    for c in assignment:
-        counts[c - 1] += 1
     bad_sizes = []
-    for i in range(coloring.k):
-        for j in range(i + 1, coloring.k):
-            if abs(counts[i] - counts[j]) > 1:
-                bad_sizes.append((i + 1, counts[i], j + 1, counts[j]))
+    if counts and max(counts) - min(counts) > 1:
+        for i in range(coloring.k):
+            for j in range(i + 1, coloring.k):
+                if abs(counts[i] - counts[j]) > 1:
+                    bad_sizes.append((i + 1, counts[i], j + 1, counts[j]))
     return VerificationReport(
         ok=not mono and not bad_sizes,
         monochromatic_edges=mono,
@@ -426,17 +426,16 @@ def realize2(forest: Forest, report) -> EquitableColoring:
     """Turn a positive 2-colorability decision into the coloring it
     promises: class 1 collects the witness-oriented component sides
     (floor(n/2) vertices), class 2 the rest.  Reads the side profile the
-    decision carries, so the forest is not walked again."""
+    forest recorded when it was built, so the forest is not walked again."""
     if report.k != 2 or not report.colorable:
         raise ValueError("realize2 needs a positive k=2 decision report")
     if report.orientation is None:
         raise ValueError("decision report lacks its orientation witness")
-    sides = report.sides if report.sides is not None else side_profile(forest)
-    if len(sides.side) != forest.n or len(report.orientation) != len(sides.first):
+    if len(report.orientation) != len(forest.sides.first):
         raise ValueError("decision report does not match the forest")
     orientation = report.orientation
     # orientation True sends side 0 to class 1, False sends side 1
     return EquitableColoring(2, tuple(
         1 if orientation[c] != s else 2
-        for c, s in zip(forest.component_id, sides.side)
+        for c, s in zip(forest.component_id, forest.sides.side)
     ))

@@ -10,17 +10,10 @@ chosen sides sum to floor(n/2).  k = 1 requires an edgeless forest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
-from .forest import (
-    Bipartition,
-    Forest,
-    SideProfile,
-    max_degree_vertices,
-    select_bipartition,
-    side_profile,
-)
+from .forest import Bipartition, Forest, max_degree_vertices, select_bipartition
 from .stability import LowerBoundReport, alpha_x, lower_bound
 
 
@@ -50,8 +43,7 @@ class DecisionReport:
     stability value and the floor(n/k) threshold.  For k = 2 a positive
     verdict carries the per-component orientation (True when the side
     containing the component's smallest vertex joins the floor(n/2)
-    class) and the side profile it was read from, which realize2 reuses;
-    the profile is neither compared nor printed.
+    class).
     """
 
     k: int
@@ -61,7 +53,6 @@ class DecisionReport:
     witness_alpha: int | None = None
     orientation: tuple[bool, ...] | None = None
     note: str = ""
-    sides: SideProfile | None = field(default=None, repr=False, compare=False)
 
 
 class DecisionProfile:
@@ -165,7 +156,7 @@ def decide2(forest: Forest) -> DecisionReport:
     always the lexicographically greatest one.
     """
     target = forest.n // 2
-    sides = side_profile(forest)
+    sides = forest.sides
     groups: dict[int, list[int]] = {}  # a_i - b_i -> component ids, ascending
     need = target  # what the turned components must add to the smaller sides
     for i, (a, b) in enumerate(zip(sides.first, sides.second)):
@@ -203,7 +194,7 @@ def decide2(forest: Forest) -> DecisionReport:
         for i in members[first_count:]:
             orientation[i] = False
     return DecisionReport(k=2, colorable=True, threshold=target,
-                          orientation=tuple(orientation), sides=sides)
+                          orientation=tuple(orientation))
 
 
 def decide1(forest: Forest) -> DecisionReport:

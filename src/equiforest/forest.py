@@ -8,8 +8,8 @@ construction, so instances are safe to share between concurrent tasks.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from itertools import repeat
+from dataclasses import dataclass, field
+from itertools import compress, repeat
 from operator import add, eq, floordiv, itemgetter, lt, mod, mul
 
 
@@ -97,6 +97,21 @@ def _edge_keys(n: int, us: list[int], vs: list[int]) -> list[int] | None:
 
 
 @dataclass(frozen=True)
+class SideProfile:
+    """Every component's unique 2-coloring, without vertex lists.
+
+    ``side[v]`` is 0 when v lies on the first side of its component (the
+    side holding the component's smallest vertex) and 1 otherwise;
+    ``first[i]`` and ``second[i]`` are the two side sizes of component i,
+    in component-id order.
+    """
+
+    side: bytes
+    first: tuple[int, ...]
+    second: tuple[int, ...]
+
+
+@dataclass(frozen=True)
 class Forest:
     """Simple undirected acyclic graph on vertices 0..n-1.
 
@@ -104,13 +119,21 @@ class Forest:
     per-vertex neighbor tuples in increasing order (they are filled from
     the sorted edges, so no list is sorted on its own), and
     ``component_id`` labels components 0, 1, ... in order of their
-    smallest contained vertex.
+    smallest contained vertex.  ``sides`` is the forest's SideProfile,
+    recorded by the walk that labels the components (or, when it is not
+    given, by a walk when the instance is built); it takes no part in
+    equality, hashing or repr.
     """
 
     n: int
     edges: tuple[tuple[int, int], ...]
     adjacency: tuple[tuple[int, ...], ...]
     component_id: tuple[int, ...]
+    sides: SideProfile = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.sides is None:
+            object.__setattr__(self, "sides", _walk(self.n, self.adjacency)[1])
 
     @classmethod
     def from_edges(cls, n: int, edge_pairs) -> "Forest":
@@ -152,10 +175,10 @@ class Forest:
             lists[v].append(u)
         adjacency = tuple(map(tuple, lists))
         del lists[:]  # freed before the walk allocates
-        component_id, count = _component_labels(n, adjacency)
-        if len(edges) != n - count:
+        component_id, sides = _walk(n, adjacency, vertex)
+        if len(edges) != n - len(sides.first):
             return None
-        return cls(n, edges, adjacency, tuple(component_id))
+        return cls(n, edges, adjacency, tuple(component_id), sides)
 
     @classmethod
     def _from_tree_edges(cls, n: int, edge_pairs) -> "Forest":
@@ -191,35 +214,59 @@ class Forest:
     def validate(self) -> None:
         """Re-derive the representation from the edge set; raise on mismatch."""
         rebuilt = Forest.from_edges(self.n, self.edges)
-        if rebuilt != self:
+        if rebuilt != self or rebuilt.sides != self.sides:
             raise ForestError("representation inconsistent with edge set")
 
 
 def max_degree_vertices(forest: Forest) -> tuple[int, ...]:
     """The vertices of maximum degree, in increasing order."""
-    dmax = forest.max_degree
-    return tuple(v for v in range(forest.n) if len(forest.adjacency[v]) == dmax)
+    degrees = list(map(len, forest.adjacency))
+    top = repeat(max(degrees, default=0))
+    return tuple(compress(range(forest.n), map(eq, degrees, top)))
 
 
-def _component_labels(
-    n: int, adjacency: tuple[tuple[int, ...], ...]
-) -> tuple[list[int], int]:
-    # labels in order of smallest vertex, and the number of components
-    comp = [-1] * n
-    label = 0
+def _walk(n: int, adjacency, vertex=int) -> tuple[list[int], SideProfile]:
+    """Label the components 0, 1, ... in order of their smallest vertex,
+    and record each vertex's side and each component's side sizes.
+
+    ``vertex(i)`` is the int stored as label i, so a caller holding one
+    int object per id can have the labels share them.  The edge count
+    is not checked: on a multigraph the labels are still right and the
+    sides are meaningless.
+    """
+    comp: list[int | None] = [None] * n
+    side = bytearray(n)
+    first: list[int] = []
+    second: list[int] = []
     for start in range(n):
-        if comp[start] >= 0:
+        if comp[start] is not None:
             continue
+        # ids are scanned upward, so `start` is its component's smallest
+        # vertex and components appear in id order
+        label = vertex(len(first))
         comp[start] = label
+        if not adjacency[start]:
+            first.append(1)
+            second.append(0)
+            continue
+        size = odd = 0
         stack = [start]
         while stack:
             x = stack.pop()
+            size += 1
+            if side[x]:
+                odd += 1
+                p = 0
+            else:
+                p = 1
             for y in adjacency[x]:
-                if comp[y] < 0:
+                if comp[y] is None:
                     comp[y] = label
+                    side[y] = p
                     stack.append(y)
-        label += 1
-    return comp, label
+        first.append(size - odd)
+        second.append(odd)
+    return comp, SideProfile(bytes(side), tuple(first), tuple(second))
 
 
 # The layout serialize_forest writes, give or take blank lines, spaces,
@@ -351,54 +398,10 @@ class Bipartition:
                 raise ForestError(f"edge ({u}, {v}) does not cross the bipartition")
 
 
-@dataclass(frozen=True)
-class SideProfile:
-    """Every component's unique 2-coloring, without vertex lists.
-
-    ``side[v]`` is 0 when v lies on the first side of its component (the
-    side holding the component's smallest vertex) and 1 otherwise;
-    ``first[i]`` and ``second[i]`` are the two side sizes of component i,
-    in component-id order.
-    """
-
-    side: bytes
-    first: tuple[int, ...]
-    second: tuple[int, ...]
-
-
 def side_profile(forest: Forest) -> SideProfile:
-    """Each vertex's side and each component's side sizes, in one O(n)
-    walk that sorts nothing."""
-    side, first, second = _side_walk(forest)
-    return SideProfile(bytes(side), tuple(first), tuple(second))
-
-
-def _side_walk(forest: Forest) -> tuple[bytearray, list[int], list[int]]:
-    adjacency = forest.adjacency
-    seen = bytearray(forest.n)
-    side = bytearray(forest.n)
-    first: list[int] = []
-    second: list[int] = []
-    for start in range(forest.n):
-        if seen[start]:
-            continue
-        # ids are scanned upward, so `start` is its component's smallest
-        # vertex and components appear in id order
-        seen[start] = 1
-        counts = [1, 0]
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            p = side[x] ^ 1
-            for y in adjacency[x]:
-                if not seen[y]:
-                    seen[y] = 1
-                    side[y] = p
-                    counts[p] += 1
-                    stack.append(y)
-        first.append(counts[0])
-        second.append(counts[1])
-    return side, first, second
+    """Each vertex's side and each component's side sizes, as recorded
+    when the forest was built."""
+    return forest.sides
 
 
 def leaves_in(forest: Forest, side: Bipartition) -> frozenset[int]:
@@ -428,7 +431,8 @@ def select_bipartition(forest: Forest) -> Bipartition:
     larger sides) plus min(budget, later singletons).  So a singleton
     keeps flip 0 exactly while budget remains.  O(n) time and space.
     """
-    side, first, second = _side_walk(forest)
+    sides = forest.sides
+    side, first, second = sides.side, sides.first, sides.second
     need = (forest.n + 1) // 2  # a >= b  <=>  a >= ceil(n/2)
     singles = second.count(0)
     larger = sum(map(max, first, second)) - singles  # a singleton is (1, 0)

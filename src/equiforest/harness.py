@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 from .constructor import ProofStepError, construct, realize2, verify
 from .equitable import DecisionProfile, decide
-from .forest import Forest, max_degree_vertices, serialize_forest, side_profile
+from .forest import Forest, max_degree_vertices, serialize_forest
 from .oracle import (
     labeled_trees_in_range,
     num_labeled_trees,
@@ -247,7 +247,7 @@ def check_bg(max_n: int = 14, shards: int = 1, shard_index: int = 0) -> SuiteRep
 
 
 def _cl2_check(forest: Forest) -> dict | None:
-    sides = side_profile(forest)
+    sides = forest.sides
     if abs(sides.first[0] - sides.second[0]) > 1:
         return None
     profile = DecisionProfile(forest)
@@ -268,7 +268,7 @@ def check_cl2(max_n: int = 14, shards: int = 1, shard_index: int = 0) -> SuiteRe
 
 
 def _cl3_check(forest: Forest) -> dict | None:
-    sides = side_profile(forest)
+    sides = forest.sides
     if abs(sides.first[0] - sides.second[0]) <= 1:
         return None
     n = forest.n

@@ -12,6 +12,9 @@ components, so call them only on small forests.  ``component_sides``,
 which lists each component's two sides as sorted vertex tuples, fed
 them (and ``select_bipartition`` until it read ``side_profile``); it is
 kept verbatim too, and ``test_forest.py`` checks ``side_profile``
+against it.  ``reference_side_walk`` is the second walk that computed
+every side profile before ``Forest`` recorded one at ingest; it is kept
+verbatim (only renamed), and ``test_forest.py`` checks ``Forest.sides``
 against it.
 """
 
@@ -45,6 +48,34 @@ def component_sides(forest: Forest) -> tuple[tuple[tuple[int, ...], tuple[int, .
                     stack.append(y)
         out.append((tuple(sorted(even)), tuple(sorted(odd))))
     return tuple(out)
+
+
+def reference_side_walk(forest: Forest) -> tuple[bytearray, list[int], list[int]]:
+    adjacency = forest.adjacency
+    seen = bytearray(forest.n)
+    side = bytearray(forest.n)
+    first: list[int] = []
+    second: list[int] = []
+    for start in range(forest.n):
+        if seen[start]:
+            continue
+        # ids are scanned upward, so `start` is its component's smallest
+        # vertex and components appear in id order
+        seen[start] = 1
+        counts = [1, 0]
+        stack = [start]
+        while stack:
+            x = stack.pop()
+            p = side[x] ^ 1
+            for y in adjacency[x]:
+                if not seen[y]:
+                    seen[y] = 1
+                    side[y] = p
+                    counts[p] += 1
+                    stack.append(y)
+        first.append(counts[0])
+        second.append(counts[1])
+    return side, first, second
 
 
 def reference_select_bipartition(forest: Forest) -> Bipartition:

@@ -5,11 +5,18 @@ import json
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import equiforest.cli as cli
+import equiforest.forest as forest_module
 import equiforest.stability as stability
+from equiforest import serialize_forest
 from equiforest.cli import main, run_report_schema
 from equiforest.constructor import ProofStepError
+from equiforest.generators import gen_family, parse_family
+
+from test_golden import golden_commands, run_cli
 
 
 def run(capsys, *argv):
@@ -268,6 +275,90 @@ class TestJsonOutput:
         _, out, _ = run(capsys, "verify", "family:path:6", str(out_file),
                         "--json", "--no-timing")
         assert self.schema_check(out)["result"]["valid"] is True
+
+
+class Tagged(int):
+    """An int whose str and repr are not its digits; JSON writes the digits."""
+
+    def __str__(self):
+        return "tagged"
+
+    __repr__ = __str__
+
+
+_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
+            | st.text() | st.integers().map(Tagged))
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: (st.lists(inner) | st.lists(inner).map(tuple)
+                   | st.lists(st.integers() | st.booleans())
+                   | st.dictionaries(st.text(), inner)
+                   | st.dictionaries(st.integers(), inner)),
+    max_leaves=30,
+)
+
+
+def reference_render(value) -> str:
+    return json.dumps(value, sort_keys=True, indent=2)
+
+
+class TestRender:
+    """``cli._render`` writes exactly what json.dumps(sort_keys, indent=2)
+    writes."""
+
+    def test_every_golden_report(self, monkeypatch):
+        checked = []
+        real = cli._render
+
+        def checked_render(value, indent=""):
+            out = real(value, indent)
+            if indent == "":
+                assert out == reference_render(value)
+                checked.append(value)
+            return out
+
+        monkeypatch.setattr(cli, "_render", checked_render)
+        printed = [argv for argv in golden_commands()
+                   if "--json" in argv and run_cli(argv)[1]]
+        # a color command on a no-instance prints no report
+        assert len(checked) == len(printed) == 28
+
+    @settings(max_examples=300, deadline=None)
+    @given(_VALUES)
+    def test_nested_values(self, value):
+        assert cli._render(value) == reference_render(value)
+
+    @pytest.mark.parametrize("value", [
+        [], {}, (), [[]], {"a": {}}, [True, 1, 0, False], [1, 2, 3],
+        [Tagged(3), 4], {"é\n\"": ["\u2603", "\x00"]}, [float("nan"), -0.0, 1e300],
+        {1: "x", 2: [5]}, {True: 1}, {None: 0}, {1.5: 2}, 7, "s", None,
+    ])
+    def test_edge_values(self, value):
+        assert cli._render(value) == reference_render(value)
+
+
+class TestOneWalk:
+    """An edge-list instance is walked once, at ingest, whatever the
+    command reads from its side profile afterwards."""
+
+    @pytest.mark.parametrize("argv", [
+        ("decide", "--k", "2"), ("color", "--k", "2"), ("color", "--k", "3"),
+    ])
+    def test_one_walk_per_command(self, argv, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "forest.txt"
+        path.write_text(serialize_forest(
+            gen_family(parse_family("family:random_forest:60,20,3"))))
+        calls = []
+        real = forest_module._walk
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(forest_module, "_walk", counted)
+        code, out, _ = run(capsys, *argv, str(path), "--json", "--no-timing")
+        assert code == 0 and json.loads(out)["result"]["n"] == 60
+        assert calls == [60]
 
 
 class TestTableCommand:

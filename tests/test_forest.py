@@ -1,5 +1,6 @@
 """Forest parsing, serialization, and bipartition selection."""
 
+import dataclasses
 import itertools
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from equiforest import (
     Bipartition,
     CycleError,
+    Forest,
     ForestError,
     ParseError,
     leaves_in,
@@ -16,7 +18,9 @@ from equiforest import (
     serialize_forest,
     side_profile,
 )
+from equiforest.forest import SideProfile
 from equiforest.generators import FamilySpec, gen_family
+from equiforest.oracle import labeled_trees_in_range, unlabeled_trees
 
 from conftest import (
     all_labeled_forests,
@@ -25,7 +29,12 @@ from conftest import (
     forests,
     seeded_random_forests,
 )
-from reference_side_choice import component_sides, reference_select_bipartition
+from reference_ingest import reference_from_edges
+from reference_side_choice import (
+    component_sides,
+    reference_select_bipartition,
+    reference_side_walk,
+)
 
 
 class TestParse:
@@ -183,6 +192,57 @@ class TestSideProfile:
     def test_matches_component_sides_on_random_forests(self):
         for f in seeded_random_forests():
             self._agrees_with_component_sides(f)
+
+
+class TestStoredSides:
+    """``Forest.sides`` is recorded by the ingest walk; it must equal what
+    the separate side walk computed from the finished forest."""
+
+    @staticmethod
+    def _matches_side_walk(f):
+        side, first, second = reference_side_walk(f)
+        assert f.sides == SideProfile(bytes(side), tuple(first), tuple(second)), f
+        assert side_profile(f) is f.sides
+
+    def test_from_edges_and_parse_on_all_labeled_forests(self):
+        for n in range(8):
+            for f in all_labeled_forests(n):
+                self._matches_side_walk(f)
+                self._matches_side_walk(parse_forest(serialize_forest(f)))
+
+    def test_from_edges_and_parse_on_random_forests(self):
+        for f in seeded_random_forests():
+            self._matches_side_walk(f)
+            self._matches_side_walk(parse_forest(serialize_forest(f)))
+
+    def test_prufer_trees(self):
+        for n in range(1, 8):
+            for f in labeled_trees_in_range(n, 0, max(1, n ** (n - 2))):
+                self._matches_side_walk(f)
+
+    def test_unlabeled_trees(self):
+        for n in (9, 10):
+            for f in unlabeled_trees(n):
+                self._matches_side_walk(f)
+
+    def test_positional_construction(self):
+        for f in seeded_random_forests():
+            built = reference_from_edges(f.n, f.edges)
+            self._matches_side_walk(built)
+            direct = Forest(f.n, f.edges, f.adjacency, f.component_id)
+            self._matches_side_walk(direct)
+            assert direct.sides == f.sides
+
+    def test_equality_hash_and_repr_ignore_sides(self):
+        f = parse_forest("5\n0 1\n1 2\n3 4")
+        other = SideProfile(b"\x01" * 5, (9,), (9,))
+        g = dataclasses.replace(f, sides=other)
+        assert g.sides is other
+        assert g == f and hash(g) == hash(f) and repr(g) == repr(f)
+        assert "sides" not in repr(f)
+        with pytest.raises(ForestError, match="inconsistent"):
+            g.validate()
+        f.validate()
 
 
 class TestLeavesIn:
