@@ -370,8 +370,9 @@ def main(argv=None) -> int:
     args._t0 = time.perf_counter()
     try:
         return args.func(args)
-    except (ForestError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ForestError, ValueError, OSError, MemoryError) as exc:
+        reason = "out of memory for this input" if isinstance(exc, MemoryError) else exc
+        print(f"error: {reason}", file=sys.stderr)
         return 2
 
 

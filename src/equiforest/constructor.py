@@ -104,9 +104,8 @@ def verify(forest: Forest, coloring: EquitableColoring) -> VerificationReport:
         if not 1 <= c <= coloring.k:
             raise ValueError(f"class index {c} outside 1..{coloring.k}")
         counts[c - 1] += 1
-    mono = tuple(
-        (u, v) for u, v in forest.edges if assignment[u] == assignment[v]
-    )
+    mono = tuple(sorted((p, v) if p < v else (v, p) for v, p in enumerate(forest.parent)
+                        if p >= 0 and assignment[v] == assignment[p]))
     bad_sizes = []
     if counts and max(counts) - min(counts) > 1:
         for i in range(coloring.k):

@@ -199,8 +199,8 @@ def decide2(forest: Forest) -> DecisionReport:
 
 def decide1(forest: Forest) -> DecisionReport:
     """Equitable 1-colorability: the single class must be stable."""
-    if forest.edges:
-        u, v = forest.edges[0]
+    if forest.n > len(forest.sides.first):  # some component has an edge
+        u, v = next((u, nbrs[0]) for u, nbrs in enumerate(forest.adjacency) if nbrs)
         return DecisionReport(k=1, colorable=False, witness_vertex=u,
                               note=f"edge ({u}, {v}) forbids one class")
     return DecisionReport(k=1, colorable=True, note="edgeless")

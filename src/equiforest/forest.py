@@ -115,25 +115,22 @@ class SideProfile:
 class Forest:
     """Simple undirected acyclic graph on vertices 0..n-1.
 
-    ``edges`` holds (min, max) pairs in lexicographic order, ``adjacency``
-    per-vertex neighbor tuples in increasing order (they are filled from
-    the sorted edges, so no list is sorted on its own), and
+    ``adjacency``, per-vertex neighbor tuples in increasing order, is the
+    one stored copy of the graph; ``edges`` derives from it the (min, max)
+    pairs in lexicographic order.  The walk that builds the forest records
+    the rest, which takes no part in equality, hashing or repr:
     ``component_id`` labels components 0, 1, ... in order of their
-    smallest contained vertex.  ``sides`` is the forest's SideProfile,
-    recorded by the walk that labels the components (or, when it is not
-    given, by a walk when the instance is built); it takes no part in
-    equality, hashing or repr.
+    smallest vertex, ``sides`` is the SideProfile, and ``order`` and
+    ``parent`` root each component at its smallest vertex (every vertex
+    after its parent, a root's parent -1).
     """
 
     n: int
-    edges: tuple[tuple[int, int], ...]
     adjacency: tuple[tuple[int, ...], ...]
-    component_id: tuple[int, ...]
-    sides: SideProfile = field(default=None, compare=False, repr=False)
-
-    def __post_init__(self):
-        if self.sides is None:
-            object.__setattr__(self, "sides", _walk(self.n, self.adjacency)[1])
+    component_id: tuple[int, ...] = field(compare=False, repr=False)
+    sides: SideProfile = field(compare=False, repr=False)
+    order: tuple[int, ...] = field(compare=False, repr=False)
+    parent: tuple[int, ...] = field(compare=False, repr=False)
 
     @classmethod
     def from_edges(cls, n: int, edge_pairs) -> "Forest":
@@ -165,40 +162,37 @@ class Forest:
         # closes a cycle), so that count rejects self-loops, duplicates
         # and cycles alike: None, and the caller finds the culprit.
         keys.sort()
-        vertex = list(range(n)).__getitem__  # edges and adjacency share one int per id
-        edges = tuple(zip(map(vertex, map(floordiv, keys, repeat(n))),
-                          map(vertex, map(mod, keys, repeat(n)))))
-        del keys[:]
+        m = len(keys)
+        ids = list(range(n))  # one int object per id, shared by every field
         lists: list[list[int]] = [[] for _ in range(n)]
-        for u, v in edges:
+        for u, v in zip(map(ids.__getitem__, map(floordiv, keys, repeat(n))),
+                        map(ids.__getitem__, map(mod, keys, repeat(n)))):
             lists[u].append(v)
             lists[v].append(u)
+        del keys[:]
         adjacency = tuple(map(tuple, lists))
         del lists[:]  # freed before the walk allocates
-        component_id, sides = _walk(n, adjacency, vertex)
-        if len(edges) != n - len(sides.first):
+        walk = _walk(n, adjacency, ids)
+        if m != n - len(walk[1].first):
             return None
-        return cls(n, edges, adjacency, tuple(component_id), sides)
+        return cls(n, adjacency, *walk)
 
     @classmethod
     def _from_tree_edges(cls, n: int, edge_pairs) -> "Forest":
         # Trusted fast path for callers that guarantee a spanning tree
         # (e.g. Prufer decoding); skips cycle/duplicate checks.
-        adjacency: list[list[int]] = [[] for _ in range(n)]
-        edges = []
+        lists: list[list[int]] = [[] for _ in range(n)]
         for u, v in edge_pairs:
-            if u > v:
-                u, v = v, u
-            edges.append((u, v))
-            adjacency[u].append(v)
-            adjacency[v].append(u)
-        edges.sort()
-        return cls(
-            n,
-            tuple(edges),
-            tuple(tuple(sorted(nbrs)) for nbrs in adjacency),
-            (0,) * n,
-        )
+            lists[u].append(v)
+            lists[v].append(u)
+        adjacency = tuple(tuple(sorted(nbrs)) for nbrs in lists)
+        return cls(n, adjacency, *_walk(n, adjacency))
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """The (min, max) pairs in lexicographic order."""
+        return tuple((u, v) for u, nbrs in enumerate(self.adjacency)
+                     for v in nbrs if v > u)
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
@@ -209,12 +203,11 @@ class Forest:
 
     @property
     def num_components(self) -> int:
-        return max(self.component_id, default=-1) + 1
+        return len(self.sides.first)
 
     def validate(self) -> None:
         """Re-derive the representation from the edge set; raise on mismatch."""
-        rebuilt = Forest.from_edges(self.n, self.edges)
-        if rebuilt != self or rebuilt.sides != self.sides:
+        if vars(Forest.from_edges(self.n, self.edges)) != vars(self):  # every field
             raise ForestError("representation inconsistent with edge set")
 
 
@@ -225,27 +218,32 @@ def max_degree_vertices(forest: Forest) -> tuple[int, ...]:
     return tuple(compress(range(forest.n), map(eq, degrees, top)))
 
 
-def _walk(n: int, adjacency, vertex=int) -> tuple[list[int], SideProfile]:
-    """Label the components 0, 1, ... in order of their smallest vertex,
-    and record each vertex's side and each component's side sizes.
+def _walk(n: int, adjacency, ids=None):
+    """The Forest fields after ``adjacency``: component labels 0, 1, ...
+    in order of their smallest vertex, the SideProfile, and the DFS order
+    and parents rooting each component at its smallest vertex.
 
-    ``vertex(i)`` is the int stored as label i, so a caller holding one
-    int object per id can have the labels share them.  The edge count
-    is not checked: on a multigraph the labels are still right and the
-    sides are meaningless.
+    ``ids[i]`` (default ``range(n)``) is the int stored for id i, so a
+    caller holding one int object per id can have the fields share them.
+    The edge count is not checked: on a multigraph the labels are still
+    right.
     """
     comp: list[int | None] = [None] * n
     side = bytearray(n)
     first: list[int] = []
     second: list[int] = []
-    for start in range(n):
+    order: list[int] = []
+    parent = [-1] * n
+    ids = range(n) if ids is None else ids
+    for start in ids:
         if comp[start] is not None:
             continue
         # ids are scanned upward, so `start` is its component's smallest
         # vertex and components appear in id order
-        label = vertex(len(first))
+        label = ids[len(first)]
         comp[start] = label
         if not adjacency[start]:
+            order.append(start)
             first.append(1)
             second.append(0)
             continue
@@ -253,6 +251,7 @@ def _walk(n: int, adjacency, vertex=int) -> tuple[list[int], SideProfile]:
         stack = [start]
         while stack:
             x = stack.pop()
+            order.append(x)
             size += 1
             if side[x]:
                 odd += 1
@@ -263,10 +262,12 @@ def _walk(n: int, adjacency, vertex=int) -> tuple[list[int], SideProfile]:
                 if comp[y] is None:
                     comp[y] = label
                     side[y] = p
+                    parent[y] = x
                     stack.append(y)
         first.append(size - odd)
         second.append(odd)
-    return comp, SideProfile(bytes(side), tuple(first), tuple(second))
+    sides = SideProfile(bytes(side), tuple(first), tuple(second))
+    return tuple(comp), sides, tuple(order), tuple(parent)
 
 
 # The layout serialize_forest writes, give or take blank lines, spaces,
@@ -356,7 +357,8 @@ def _parse_lines(text: str) -> tuple[int, list[tuple[int, int]]]:
 def serialize_forest(forest: Forest) -> str:
     """Inverse of parse_forest; edges emitted as sorted (min, max) pairs."""
     lines = [str(forest.n)]
-    lines.extend(f"{u} {v}" for u, v in forest.edges)
+    lines.extend(f"{u} {v}" for u, nbrs in enumerate(forest.adjacency)
+                 for v in nbrs if v > u)
     return "\n".join(lines) + "\n"
 
 
@@ -396,12 +398,6 @@ class Bipartition:
         for u, v in forest.edges:
             if self.in_a[u] == self.in_a[v]:
                 raise ForestError(f"edge ({u}, {v}) does not cross the bipartition")
-
-
-def side_profile(forest: Forest) -> SideProfile:
-    """Each vertex's side and each component's side sizes, as recorded
-    when the forest was built."""
-    return forest.sides
 
 
 def leaves_in(forest: Forest, side: Bipartition) -> frozenset[int]:

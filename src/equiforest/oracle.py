@@ -28,9 +28,10 @@ def _check_size(forest: Forest) -> None:
 
 def _adjacency_masks(forest: Forest) -> list[int]:
     masks = [0] * forest.n
-    for u, v in forest.edges:
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
+    for v, p in enumerate(forest.parent):
+        if p >= 0:
+            masks[v] |= 1 << p
+            masks[p] |= 1 << v
     return masks
 
 
@@ -137,7 +138,7 @@ def oracle_alpha_x(forest: Forest, x: int) -> int:
     if not 0 <= x < forest.n:
         raise ValueError(f"vertex {x} out of range")
     n = forest.n
-    edge_masks = [(1 << u) | (1 << v) for u, v in forest.edges]
+    edge_masks = [(1 << v) | (1 << p) for v, p in enumerate(forest.parent) if p >= 0]
     xbit = 1 << x
     best = 0
     for mask in range(1 << n):

@@ -2,33 +2,34 @@
 the coloring-number lower bound they induce, and a size-constrained
 stable-set search that minimizes overlap with one bipartition side.
 
-Every dynamic program here is a take/skip pass over one rooting walk
-(components rooted at their smallest ids, or one at a chosen vertex):
-one number per vertex and state for the stability numbers, plus one
-rerooting pass for every alpha_x at once; for the minimum-overlap search,
-short tables indexed by a cap on the B-vertices used, the cap doubled
-until it suffices, in O(n*t*) for the least overlap t*.  All passes are
-iterative, so deep trees cannot hit recursion limits, and exact.
+Each stability number is a take/skip pass over the rooting the forest
+stored when it was built (``Forest.order``/``.parent``): one number per
+vertex and state, x forced in for alpha_x, plus one rerooting pass for
+every alpha_x at once.  Only the minimum-overlap search roots again, at
+the pivot (``_rooted``): short tables indexed by a cap on the B-vertices
+used, the cap doubled until it suffices, in O(n*t*) for the least
+overlap t*.  All passes are iterative, so deep trees cannot hit
+recursion limits, and exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import nlargest
-from itertools import chain
+from itertools import chain, compress
 
 from .forest import Bipartition, Forest, max_degree_vertices
 
 
-def _rooted(adjacency, first: int | None = None):
-    """Root each component at its smallest id, or at `first`, whose
-    component is walked first.  Returns (order, parent): every vertex
-    after its parent (roots have parent -1), each component contiguous."""
+def _rooted(adjacency, v: int):
+    """Root v's component at v, walked first, and every other at its
+    smallest id.  Returns (order, parent): every vertex after its parent
+    (roots have parent -1), each component contiguous."""
     n = len(adjacency)
     parent = [-1] * n
     seen = bytearray(n)
     order: list[int] = []
-    for root in range(n) if first is None else chain((first,), range(n)):
+    for root in chain((v,), range(n)):
         if seen[root]:
             continue
         seen[root] = 1
@@ -44,16 +45,18 @@ def _rooted(adjacency, first: int | None = None):
     return order, parent
 
 
-def _take_skip(adjacency, first: int | None = None):
-    """Fill the take/skip tables over the `_rooted` walk.  Returns (order,
-    parent, take, skip, total): take[u] / skip[u] are the largest stable
-    sets in u's subtree with and without u, `total` the forest's."""
-    order, parent = _rooted(adjacency, first)
-    n = len(adjacency)
+def _take_skip(forest: Forest, forced: int | None = None):
+    """Fill the take/skip tables over the stored rooting.  Returns (take,
+    skip, total): take[u] / skip[u] are the largest stable sets in u's
+    subtree with and without u, `total` the forest's.  skip[forced] =
+    -n - 1 keeps every best choice, and so `total`, on sets holding it."""
+    n, parent = forest.n, forest.parent
     take = [1] * n
     skip = [0] * n
+    if forced is not None:
+        skip[forced] = -n - 1
     total = 0
-    for u in reversed(order):
+    for u in reversed(forest.order):
         tu, su = take[u], skip[u]
         best = tu if tu > su else su
         p = parent[u]
@@ -62,50 +65,48 @@ def _take_skip(adjacency, first: int | None = None):
         else:
             take[p] += su
             skip[p] += best
-    return order, parent, take, skip, total
+    return take, skip, total
 
 
-def _witness(order, parent, take, skip, first: int | None = None) -> frozenset[int]:
-    """Walk down the tables: take u when its parent is not taken and
-    take[u] >= skip[u]; `first` (a root) is always taken."""
-    chosen = bytearray(len(parent))
-    for u in order:
+def _witness(forest: Forest, forced: int | None = None) -> frozenset[int]:
+    """Walk down the take/skip tables: take u when its parent is not
+    taken and take[u] >= skip[u]."""
+    take, skip, _ = _take_skip(forest, forced)
+    parent = forest.parent
+    chosen = bytearray(forest.n)
+    for u in forest.order:
         p = parent[u]
-        if u == first or ((p < 0 or not chosen[p]) and take[u] >= skip[u]):
+        if (p < 0 or not chosen[p]) and take[u] >= skip[u]:
             chosen[u] = 1
-    return frozenset(u for u in order if chosen[u])
+    return frozenset(compress(range(forest.n), chosen))
 
 
 def alpha(forest: Forest) -> int:
     """Stability number: the maximum size of a stable set."""
-    *_, total = _take_skip(forest.adjacency)
-    return total
+    return _take_skip(forest)[2]
 
 
 def max_stable_set(forest: Forest) -> frozenset[int]:
     """One maximum stable set; ties prefer including the vertex closer to
     its component root (roots are the smallest ids), so the result is
     deterministic and biased toward small ids."""
-    order, parent, take, skip, _ = _take_skip(forest.adjacency)
-    return _witness(order, parent, take, skip)
+    return _witness(forest)
 
 
 def alpha_x(forest: Forest, x: int) -> int:
-    """Maximum size of a stable set containing x: take[x] with x's
-    component rooted at x, plus the other components' stability."""
+    """Maximum size of a stable set containing x: the take/skip pass
+    with x forced in."""
     if not 0 <= x < forest.n:
         raise ValueError(f"vertex {x} out of range")
-    _, _, take, skip, total = _take_skip(forest.adjacency, x)
-    return total - max(take[x], skip[x]) + take[x]
+    return _take_skip(forest, x)[2]
 
 
 def max_stable_set_containing(forest: Forest, x: int) -> frozenset[int]:
-    """Deterministic witness for alpha_x: the max_stable_set walk with x's
-    component rooted at x and x forced in."""
+    """Deterministic witness for alpha_x: the max_stable_set walk with x
+    forced in."""
     if not 0 <= x < forest.n:
         raise ValueError(f"vertex {x} out of range")
-    order, parent, take, skip, _ = _take_skip(forest.adjacency, x)
-    return _witness(order, parent, take, skip, x)
+    return _witness(forest, x)
 
 
 def alpha_profile(forest: Forest) -> list[int]:
@@ -115,10 +116,11 @@ def alpha_profile(forest: Forest) -> list[int]:
     p's entries cover its whole component, removing child u's subtree
     from them and adding the rest to u's entries makes u's cover it too.
     """
-    order, parent, take, skip, total = _take_skip(forest.adjacency)
+    take, skip, total = _take_skip(forest)
+    parent = forest.parent
     profile = [0] * forest.n
     rest = 0  # stability of the components other than the current one
-    for u in order:
+    for u in forest.order:
         p = parent[u]
         tu, su = take[u], skip[u]
         best = tu if tu > su else su

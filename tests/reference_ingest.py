@@ -6,12 +6,15 @@ labeling walk), and ``reference_parse_forest`` the line-by-line reader
 that fed it; ``Forest.from_edges`` and ``parse_forest`` in
 ``equiforest.forest`` replaced them.  They are kept verbatim (only
 renamed; ``from_edges`` is a plain function here) as the reference for
-the differential tests in ``test_ingest.py``.
+the differential tests in ``test_ingest.py``, except that
+``reference_from_edges`` returns the fields the Forest of that time
+stored, ``(n, edges, adjacency, component_id)``, rather than a Forest:
+a Forest now stores only its adjacency and what its build walk records.
 """
 
 from __future__ import annotations
 
-from equiforest.forest import CycleError, Forest, ForestError, ParseError
+from equiforest.forest import CycleError, ForestError, ParseError
 
 
 def _cycle_through(adjacency: list[list[int]], u: int, v: int) -> list[int]:
@@ -33,8 +36,9 @@ def _cycle_through(adjacency: list[list[int]], u: int, v: int) -> list[int]:
     return path
 
 
-def reference_from_edges(n: int, edge_pairs) -> Forest:
-    """Validate and build a Forest from an iterable of vertex pairs.
+def reference_from_edges(n: int, edge_pairs) -> tuple:
+    """Validate and build (n, edges, adjacency, component_id) from an
+    iterable of vertex pairs.
 
     Raises ForestError for out-of-range ids, self-loops and duplicate
     edges, and CycleError when the pairs close a cycle.
@@ -71,7 +75,7 @@ def reference_from_edges(n: int, edge_pairs) -> Forest:
         adjacency[u].append(v)
         adjacency[v].append(u)
     edges.sort()
-    return Forest(
+    return (
         n,
         tuple(edges),
         tuple(tuple(sorted(nbrs)) for nbrs in adjacency),
@@ -97,7 +101,7 @@ def _component_labels(n: int, adjacency: list[list[int]]) -> list[int]:
     return comp
 
 
-def reference_parse_forest(text: str) -> Forest:
+def reference_parse_forest(text: str) -> tuple:
     """Parse the edge-list format: first nonblank line is the vertex count,
     each following nonblank line one edge "u v"; '#' starts a comment.
     """

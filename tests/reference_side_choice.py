@@ -10,8 +10,8 @@ replaced it; it is the reference for ``test_equitable.py``.  Both are
 kept verbatim (only renamed).  They cost O(r * n) memory for r
 components, so call them only on small forests.  ``component_sides``,
 which lists each component's two sides as sorted vertex tuples, fed
-them (and ``select_bipartition`` until it read ``side_profile``); it is
-kept verbatim too, and ``test_forest.py`` checks ``side_profile``
+them (and ``select_bipartition`` until it read ``Forest.sides``); it is
+kept verbatim too, and ``test_forest.py`` checks ``Forest.sides``
 against it.  ``reference_side_walk`` is the second walk that computed
 every side profile before ``Forest`` recorded one at ingest; it is kept
 verbatim (only renamed), and ``test_forest.py`` checks ``Forest.sides``

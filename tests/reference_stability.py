@@ -1,8 +1,9 @@
 """The per-vertex stability code that ``equiforest.stability`` used before
-one take/skip kernel with a rerooting pass replaced it.
+one take/skip kernel with a rerooting pass replaced it, and the rooting
+walk that kernel ran before it read the rooting ``Forest`` records.
 
 Kept verbatim (only renamed) as the reference for the differential tests
-in ``test_stability.py`` and ``test_equitable.py``.  Every ``alpha_x``
+in ``test_stability.py``, ``test_equitable.py`` and ``test_forest.py``.  Every ``alpha_x``
 here is a full DP over the forest with the closed neighbourhood of x
 masked out, so ``reference_lower_bound`` and
 ``reference_major_vertex_check`` cost Theta(n^2): call them only on small
@@ -11,8 +12,34 @@ forests.
 
 from __future__ import annotations
 
+from itertools import chain
+
 from equiforest.forest import Forest
 from equiforest.stability import LowerBoundReport, MajorVertexReport
+
+
+def reference_rooted(adjacency, first: int | None = None):
+    """Root each component at its smallest id, or at `first`, whose
+    component is walked first.  Returns (order, parent): every vertex
+    after its parent (roots have parent -1), each component contiguous."""
+    n = len(adjacency)
+    parent = [-1] * n
+    seen = bytearray(n)
+    order: list[int] = []
+    for root in range(n) if first is None else chain((first,), range(n)):
+        if seen[root]:
+            continue
+        seen[root] = 1
+        stack = [root]
+        while stack:
+            u = stack.pop()
+            order.append(u)
+            for w in adjacency[u]:
+                if not seen[w]:
+                    seen[w] = 1
+                    parent[w] = u
+                    stack.append(w)
+    return order, parent
 
 
 def _component_dp(adjacency, alive, visited, parent, in_take, out_take, root):

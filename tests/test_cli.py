@@ -52,6 +52,19 @@ class TestDecideCommand:
     def test_missing_file_exit_2(self, capsys):
         assert run(capsys, "decide", "--k", "3", "/nonexistent/forest")[0] == 2
 
+    def test_memory_error_exit_2(self, capsys, monkeypatch):
+        # a header-only "1000000000" can exhaust memory in the reader; the
+        # reader is replaced here, so nothing that large is allocated
+        def exhausted(text):
+            assert text == "1000000000\n"
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "parse_forest", exhausted)
+        monkeypatch.setattr("sys.stdin", io.StringIO("1000000000\n"))
+        code, out, err = run(capsys, "decide", "--k", "3", "-")
+        assert (code, out) == (2, "")
+        assert err == "error: out of memory for this input\n"
+
     def test_stdin(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("2\n0 1\n"))
         assert run(capsys, "decide", "--k", "2", "-")[0] == 0

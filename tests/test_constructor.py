@@ -282,6 +282,10 @@ class TestVerify:
         report = verify(f, EquitableColoring(2, (1, 1, 2)))
         assert not report.ok
         assert report.monochromatic_edges == ((0, 1),)
+        # listed in lexicographic order, not in the order of the rooting
+        f = parse_forest("5\n0 4\n4 1\n0 2\n2 3")
+        report = verify(f, EquitableColoring(1, (1,) * 5))
+        assert report.monochromatic_edges == ((0, 2), (0, 4), (1, 4), (2, 3))
 
     def test_sizes_within_one_pass(self):
         f = path(5)

@@ -314,6 +314,16 @@ class TestDecide1:
     def test_empty_yes(self):
         assert decide1(parse_forest("0")).colorable
 
+    def test_witness_is_the_first_edge(self):
+        for n in range(6):
+            for f in all_labeled_forests(n):
+                report = decide1(f)
+                assert report.colorable == (not f.edges), f
+                if f.edges:
+                    u, v = f.edges[0]
+                    assert report.witness_vertex == u, f
+                    assert report.note == f"edge ({u}, {v}) forbids one class", f
+
 
 class TestDecideAny:
     def test_dispatch(self):

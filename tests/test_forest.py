@@ -16,9 +16,8 @@ from equiforest import (
     parse_forest,
     select_bipartition,
     serialize_forest,
-    side_profile,
 )
-from equiforest.forest import SideProfile
+from equiforest.forest import SideProfile, _walk
 from equiforest.generators import FamilySpec, gen_family
 from equiforest.oracle import labeled_trees_in_range, unlabeled_trees
 
@@ -35,6 +34,7 @@ from reference_side_choice import (
     reference_select_bipartition,
     reference_side_walk,
 )
+from reference_stability import reference_rooted
 
 
 class TestParse:
@@ -170,13 +170,13 @@ class TestBipartition:
 class TestSideProfile:
     def test_example(self):
         # components {0, 1, 2} (path 1 - 0 - 2), {3}, {4, 5}
-        sides = side_profile(parse_forest("6\n0 1\n0 2\n4 5"))
+        sides = parse_forest("6\n0 1\n0 2\n4 5").sides
         assert sides.side == bytes([0, 1, 1, 0, 0, 1])
         assert (sides.first, sides.second) == ((1, 1, 1), (2, 0, 1))
 
     @staticmethod
     def _agrees_with_component_sides(f):
-        sides = side_profile(f)
+        sides = f.sides
         listed = component_sides(f)
         assert sides.first == tuple(len(even) for even, _ in listed), f
         assert sides.second == tuple(len(odd) for _, odd in listed), f
@@ -195,14 +195,21 @@ class TestSideProfile:
 
 
 class TestStoredSides:
-    """``Forest.sides`` is recorded by the ingest walk; it must equal what
-    the separate side walk computed from the finished forest."""
+    """``Forest.sides``, ``.order`` and ``.parent`` are recorded by the
+    ingest walk: they must equal what the separate side walk and the
+    stability DPs' own rooting walk (``reference_rooted``) computed from
+    the finished forest.  ``edges``, derived from the adjacency, must
+    equal the sorted pairs the reference builder stores for the parent
+    array's edges."""
 
     @staticmethod
     def _matches_side_walk(f):
         side, first, second = reference_side_walk(f)
         assert f.sides == SideProfile(bytes(side), tuple(first), tuple(second)), f
-        assert side_profile(f) is f.sides
+        order, parent = reference_rooted(f.adjacency)
+        assert (f.order, f.parent) == (tuple(order), tuple(parent)), f
+        pairs = [(v, p) for v, p in enumerate(f.parent) if p >= 0]
+        assert reference_from_edges(f.n, pairs) == (f.n, f.edges, f.adjacency, f.component_id), f
 
     def test_from_edges_and_parse_on_all_labeled_forests(self):
         for n in range(8):
@@ -228,10 +235,12 @@ class TestStoredSides:
     def test_positional_construction(self):
         for f in seeded_random_forests():
             built = reference_from_edges(f.n, f.edges)
-            self._matches_side_walk(built)
-            direct = Forest(f.n, f.edges, f.adjacency, f.component_id)
+            assert built == (f.n, f.edges, f.adjacency, f.component_id), f
+            direct = Forest(f.n, f.adjacency, *_walk(f.n, f.adjacency))
             self._matches_side_walk(direct)
-            assert direct.sides == f.sides
+            assert direct == f
+            assert (direct.component_id, direct.sides, direct.order, direct.parent) == (
+                f.component_id, f.sides, f.order, f.parent)
 
     def test_equality_hash_and_repr_ignore_sides(self):
         f = parse_forest("5\n0 1\n1 2\n3 4")
@@ -239,10 +248,23 @@ class TestStoredSides:
         g = dataclasses.replace(f, sides=other)
         assert g.sides is other
         assert g == f and hash(g) == hash(f) and repr(g) == repr(f)
-        assert "sides" not in repr(f)
+        assert repr(f) == "Forest(n=5, adjacency=((1,), (0, 2), (1,), (4,), (3,)))"
+        for name in ("component_id", "sides", "order", "parent"):
+            assert name not in repr(f)
         with pytest.raises(ForestError, match="inconsistent"):
             g.validate()
         f.validate()
+        rerooted = dataclasses.replace(f, order=(1, 0, 2, 3, 4), parent=(1, -1, 1, -1, 3))
+        assert rerooted == f
+        with pytest.raises(ForestError, match="inconsistent"):
+            rerooted.validate()
+
+    def test_edges_are_derived(self):
+        f = parse_forest("6\n5 2\n2 0\n4 2\n1 2\n3 5")
+        assert f.edges == ((0, 2), (1, 2), (2, 4), (2, 5), (3, 5))
+        assert "edges" not in {field.name for field in dataclasses.fields(f)}
+        with pytest.raises(AttributeError):
+            f.edges = ()
 
 
 class TestLeavesIn:
