@@ -24,22 +24,14 @@ import time
 from importlib import resources
 
 from .constructor import (
-    EquitableColoring,
     NotColorableError,
     ProofStepError,
     construct,
     format_coloring,
     parse_coloring_text,
-    realize2,
     verify,
 )
-from .equitable import (
-    DecisionProfile,
-    decide1,
-    decide2,
-    decide_any,
-    equitable_chromatic_number,
-)
+from .equitable import DecisionProfile, decide, equitable_chromatic_number
 from .forest import Forest, ForestError, parse_forest
 from .generators import FamilySpec, format_family, gen_family, parse_family
 from .harness import SUITE_MAX_N, SUITES, run_checks
@@ -110,7 +102,7 @@ def _base_report(args, instance: str | None, result: dict,
 
 def cmd_decide(args) -> int:
     forest, name = _load_instance(args.input)
-    outcome = decide_any(forest, args.k)
+    outcome = decide(forest, args.k)
     result = {
         "k": outcome.k,
         "colorable": outcome.colorable,
@@ -136,32 +128,17 @@ def cmd_color(args) -> int:
     if args.k < 1:
         raise ValueError("k must be >= 1")
     forest, name = _load_instance(args.input)
-    if args.k == 1:
-        outcome = decide1(forest)
-        if not outcome.colorable:
-            print(f"{name}: not equitably 1-colorable", file=sys.stderr)
-            return 1
-        coloring = EquitableColoring(1, (1,) * forest.n)
-        branch = "edgeless"
-    elif args.k == 2:
-        outcome = decide2(forest)
-        if not outcome.colorable:
-            print(f"{name}: not equitably 2-colorable", file=sys.stderr)
-            return 1
-        coloring = realize2(forest, outcome)
-        branch = "two-sides"
-    else:
-        try:
-            coloring, trace = construct(forest, args.k)
-        except NotColorableError:
-            print(f"{name}: not equitably {args.k}-colorable", file=sys.stderr)
-            return 1
-        except ProofStepError as exc:
-            print(f"{name}: construction step failed: {exc}", file=sys.stderr)
-            if exc.trace is not None:
-                print(f"  trace: {exc.trace}", file=sys.stderr)
-            return 3
-        branch = trace.branch
+    try:
+        coloring, trace = construct(forest, args.k)
+    except NotColorableError:
+        print(f"{name}: not equitably {args.k}-colorable", file=sys.stderr)
+        return 1
+    except ProofStepError as exc:
+        print(f"{name}: construction step failed: {exc}", file=sys.stderr)
+        if exc.trace is not None:
+            print(f"  trace: {exc.trace}", file=sys.stderr)
+        return 3
+    branch = trace.branch
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(format_coloring(coloring))
@@ -256,15 +233,8 @@ def _table_rows(family: str, lo: int, hi: int):
         side = profile.bipartition
         bound = lower_bound(forest)
         chi = equitable_chromatic_number(forest, bound)
-        if chi >= 3:
-            _, trace = construct(forest, chi, profile)
-            branch = trace.branch
-        elif chi == 2:
-            branch = "two-sides"
-        elif chi == 1:
-            branch = "edgeless"
-        else:
-            branch = "empty"
+        # chi is 0 only for the empty forest, which every k >= 3 colors
+        _, trace = construct(forest, chi or 3, profile)
         yield {
             "instance": format_family(spec),
             "n": forest.n,
@@ -273,7 +243,7 @@ def _table_rows(family: str, lo: int, hi: int):
             "b": side.b,
             "lower_bound": bound.value,
             "chi_eq": chi,
-            "branch": branch,
+            "branch": trace.branch,
         }
 
 

@@ -1,5 +1,5 @@
-"""Builds explicit equitable k-colorings of forests (k >= 3) by running
-the constructive argument behind the decision criterion, step by step and
+"""Builds explicit equitable k-colorings of forests by running the
+constructive argument behind the decision criterion, step by step and
 deterministically; also realizes 2-colorings from decision witnesses and
 verifies colorings against the definition.
 
@@ -16,6 +16,8 @@ from .equitable import DecisionProfile, class_sizes
 from .forest import Forest, leaves_in
 from .stability import stable_set_of_size_min_b
 
+BRANCH_EDGELESS = "edgeless"
+BRANCH_TWO_SIDES = "two-sides"
 BRANCH_EMPTY = "empty"
 BRANCH_EQUALITY = "equality"
 BRANCH_SPLIT = "split"
@@ -120,16 +122,18 @@ def verify(forest: Forest, coloring: EquitableColoring) -> VerificationReport:
 
 
 def _chunk(assignment, vertices, classes, sizes, trace):
-    """Assign ascending-id runs of `vertices` to the given class indices."""
+    """Assign ascending-id runs of the still-unassigned `vertices` to the
+    given class indices."""
+    rest = [v for v in vertices if not assignment[v]]
     pos = 0
     for cls in classes:
         size = sizes[cls - 1]
-        for v in vertices[pos:pos + size]:
+        for v in rest[pos:pos + size]:
             assignment[v] = cls
         pos += size
-    if pos != len(vertices):
+    if pos != len(rest):
         raise ProofStepError(
-            f"chunking mismatch: {len(vertices)} vertices for {pos} class slots",
+            f"chunking mismatch: {len(rest)} vertices for {pos} class slots",
             trace,
         )
 
@@ -141,24 +145,34 @@ def _require(condition: bool, message: str, trace: ConstructionTrace) -> None:
 
 def construct(forest: Forest, k: int, profile: DecisionProfile | None = None
               ) -> tuple[EquitableColoring, ConstructionTrace]:
-    """Deterministic equitable k-coloring of a yes-instance, k >= 3.
+    """Deterministic equitable k-coloring of a yes-instance, any k >= 1.
+
+    k = 1 gives the one-class coloring (branch ``edgeless``) and k = 2
+    ``realize2`` of the decision's witness (branch ``two-sides``).  For
+    k >= 3 the proof's construction runs: its branch places the classes
+    it fixes, then the still-unassigned B- and A-vertices fill the
+    branch's remaining classes in ascending id order, and the result is
+    verified.
 
     ``profile`` is the forest's DecisionProfile when the caller holds
     one: its verdict and its bipartition are read, not computed again.
-    Without it a profile is built here.  Raises ValueError when the
-    profile belongs to another forest object, NotColorableError when the
-    decision says no and ProofStepError when a construction step's
+    Without it a profile is built here.  Raises ValueError when k < 1 or
+    the profile belongs to another forest object, NotColorableError when
+    the decision says no and ProofStepError when a construction step's
     feasibility check fails.
     """
-    if k < 3:
-        raise ValueError("construct handles k >= 3")
     if profile is None:
         profile = DecisionProfile(forest)
     elif profile.forest is not forest:
         raise ValueError("decision profile was built for another forest")
-    if not profile.decide(k).colorable:
+    decision = profile.decide(k)
+    if not decision.colorable:
         raise NotColorableError(f"forest is not equitably {k}-colorable")
     n = forest.n
+    if k == 1:
+        return EquitableColoring(1, (1,) * n), ConstructionTrace(branch=BRANCH_EDGELESS)
+    if k == 2:
+        return realize2(forest, decision), ConstructionTrace(branch=BRANCH_TWO_SIDES)
     if n == 0:
         return EquitableColoring(k, ()), ConstructionTrace(branch=BRANCH_EMPTY)
     sizes = class_sizes(n, k).sizes
@@ -176,22 +190,32 @@ def construct(forest: Forest, k: int, profile: DecisionProfile | None = None
             break
     prefix_j = acc
 
+    # a branch assigns the classes it fixes; the rest of B, then of A,
+    # fills these class ranges
     assignment = [0] * n
     if b == prefix_j:
         trace = ConstructionTrace(branch=BRANCH_EQUALITY, split_index=j)
-        _chunk(assignment, vertices_b, range(1, j + 1), sizes, trace)
-        _chunk(assignment, vertices_a, range(j + 1, k + 1), sizes, trace)
-        coloring = EquitableColoring(k, tuple(assignment))
-        _final_check(forest, coloring, trace)
-        return coloring, trace
-    if j > 1:
-        return _split_branch(forest, k, sizes, side, j, prefix_j, assignment,
-                             vertices_a, vertices_b)
-    return _leaf_branches(forest, k, sizes, side, assignment,
-                          vertices_a, vertices_b)
+        classes_b, classes_a = range(1, j + 1), range(j + 1, k + 1)
+    elif j > 1:
+        trace = _split_branch(forest, sizes, side, j, prefix_j, assignment,
+                              vertices_a, vertices_b)
+        classes_b, classes_a = range(1, j), range(j + 1, k + 1)
+    else:
+        trace = _leaf_branches(forest, k, sizes, side, assignment,
+                               vertices_a, vertices_b)
+        classes_b, classes_a = (), range(2, k)
+    _chunk(assignment, vertices_b, classes_b, sizes, trace)
+    _chunk(assignment, vertices_a, classes_a, sizes, trace)
+    coloring = EquitableColoring(k, tuple(assignment))
+    report = verify(forest, coloring)
+    if not report.ok:
+        raise ProofStepError(
+            f"assembled coloring violates the definition: {report}", trace
+        )
+    return coloring, trace
 
 
-def _split_branch(forest, k, sizes, side, j, prefix_j, assignment,
+def _split_branch(forest, sizes, side, j, prefix_j, assignment,
                   vertices_a, vertices_b):
     # Move the s lowest-degree B-vertices into class j and fill it up
     # from A-vertices having no neighbor among them.
@@ -213,19 +237,12 @@ def _split_branch(forest, k, sizes, side, j, prefix_j, assignment,
     )
     fill = available[: sizes[j - 1] - s]
     _require(len(fill) == sizes[j - 1] - s, "not enough unblocked A-vertices", trace)
-    fill_set = frozenset(fill)
-    trace = replace(trace, top_fill=fill_set)
+    trace = replace(trace, top_fill=frozenset(fill))
     for v in donors:
         assignment[v] = j
     for v in fill:
         assignment[v] = j
-    rest_b = [v for v in vertices_b if v not in donor_set]
-    _chunk(assignment, rest_b, range(1, j), sizes, trace)
-    rest_a = [v for v in vertices_a if v not in fill_set]
-    _chunk(assignment, rest_a, range(j + 1, k + 1), sizes, trace)
-    coloring = EquitableColoring(k, tuple(assignment))
-    _final_check(forest, coloring, trace)
-    return coloring, trace
+    return trace
 
 
 def _leaf_branches(forest, k, sizes, side, assignment, vertices_a, vertices_b):
@@ -265,17 +282,13 @@ def _leaf_branches(forest, k, sizes, side, assignment, vertices_a, vertices_b):
     other_leaves = sorted(x for x in leaves if neighbor_of[x] not in donor_set)
 
     if len(other_leaves) + len(donors) >= floor_nk:
-        return _harvest_branch(
-            forest, k, sizes, side, assignment, vertices_a, vertices_b,
-            donor_set, donor_leaves, other_leaves, base_trace,
-        )
-    return _pivot_branch(
-        forest, k, sizes, side, assignment, vertices_a, vertices_b,
-        donor_set, counts, neighbor_of, leaves, base_trace,
-    )
+        return _harvest_branch(k, sizes, side, assignment, vertices_b,
+                               donor_set, donor_leaves, other_leaves, base_trace)
+    return _pivot_branch(forest, k, sizes, side, assignment, vertices_b,
+                         donor_set, counts, neighbor_of, leaves, base_trace)
 
 
-def _harvest_branch(forest, k, sizes, side, assignment, vertices_a, vertices_b,
+def _harvest_branch(k, sizes, side, assignment, vertices_b,
                     donor_set, donor_leaves, other_leaves, trace):
     # Largest class: B minus donors, padded with donors' leaves.  Smallest
     # class: donors padded with the other B-vertices' leaves.
@@ -297,15 +310,10 @@ def _harvest_branch(forest, k, sizes, side, assignment, vertices_a, vertices_b,
         assignment[x] = k
     for x in bottom_fill:
         assignment[x] = 1
-    used = donor_set.union(top_fill, bottom_fill)
-    rest = [x for x in vertices_a if x not in used]
-    _chunk(assignment, rest, range(2, k), sizes, trace)
-    coloring = EquitableColoring(k, tuple(assignment))
-    _final_check(forest, coloring, trace)
-    return coloring, trace
+    return trace
 
 
-def _pivot_branch(forest, k, sizes, side, assignment, vertices_a, vertices_b,
+def _pivot_branch(forest, k, sizes, side, assignment, vertices_b,
                   donor_set, counts, neighbor_of, leaves, trace):
     a, b = side.a, side.b
     floor_nk, ceil_nk = sizes[0], sizes[-1]
@@ -340,9 +348,6 @@ def _pivot_branch(forest, k, sizes, side, assignment, vertices_a, vertices_b,
                 assignment[v] = k
         for x in top_fill:
             assignment[x] = k
-        used = pivot_set.union(top_fill)
-        rest = [x for x in vertices_a if x not in used]
-        _chunk(assignment, rest, range(2, k), sizes, trace)
     else:
         trace = replace(trace, branch=BRANCH_PIVOT_MULTI)
         _require(len(overlap) >= 2, "pivot overlap collapsed unexpectedly", trace)
@@ -367,20 +372,7 @@ def _pivot_branch(forest, k, sizes, side, assignment, vertices_a, vertices_b,
             assignment[v] = k
         for x in top_fill:
             assignment[x] = k
-        used = pivot_set.union(top_fill)
-        rest = [x for x in vertices_a if x not in used]
-        _chunk(assignment, rest, range(2, k), sizes, trace)
-    coloring = EquitableColoring(k, tuple(assignment))
-    _final_check(forest, coloring, trace)
-    return coloring, trace
-
-
-def _final_check(forest, coloring, trace):
-    report = verify(forest, coloring)
-    if not report.ok:
-        raise ProofStepError(
-            f"assembled coloring violates the definition: {report}", trace
-        )
+    return trace
 
 
 def format_coloring(coloring: EquitableColoring) -> str:

@@ -60,10 +60,11 @@ class DecisionProfile:
 
     The criterion for k >= 3 reads one number: alpha_x at the unique
     maximum-degree vertex, or nothing when that vertex is not unique.
-    So one degree scan, done when the profile is built, and at most one
-    ``alpha_x`` walk answer ``decide(k)`` for every k >= 3.  That walk
+    So one degree scan and at most one ``alpha_x`` walk answer
+    ``decide(k)`` for every k >= 3.  The scan (``vertex``), the walk
     (``vertex_alpha``), the construction's ``bipartition`` and the k = 2
-    report are computed when first read and then kept.
+    report are computed when first read and then kept, so k = 1 and
+    k = 2 pay for none of the k >= 3 work.
 
     ``vertex`` is the unique maximum-degree vertex (None when the maximum
     degree is shared, or the forest is empty) and ``vertex_alpha`` its
@@ -72,8 +73,12 @@ class DecisionProfile:
 
     def __init__(self, forest: Forest):
         self.forest = forest
-        candidates = max_degree_vertices(forest)
-        self.vertex = candidates[0] if len(candidates) == 1 else None
+
+    @cached_property
+    def vertex(self) -> int | None:
+        """The unique maximum-degree vertex, or None."""
+        candidates = max_degree_vertices(self.forest)
+        return candidates[0] if len(candidates) == 1 else None
 
     @cached_property
     def vertex_alpha(self) -> int | None:
@@ -123,13 +128,11 @@ class DecisionProfile:
 
 
 def decide(forest: Forest, k: int) -> DecisionReport:
-    """Is the forest equitably k-colorable, for k >= 3?
+    """Is the forest equitably k-colorable, for any k >= 1?
 
     Reads ``DecisionProfile(forest).decide(k)``; a caller deciding the
     same forest at several k builds the profile once and asks it.
     """
-    if k < 3:
-        raise ValueError("decide handles k >= 3; use decide2/decide1")
     return DecisionProfile(forest).decide(k)
 
 
@@ -204,11 +207,6 @@ def decide1(forest: Forest) -> DecisionReport:
         return DecisionReport(k=1, colorable=False, witness_vertex=u,
                               note=f"edge ({u}, {v}) forbids one class")
     return DecisionReport(k=1, colorable=True, note="edgeless")
-
-
-def decide_any(forest: Forest, k: int) -> DecisionReport:
-    """Is the forest equitably k-colorable, for any k >= 1?"""
-    return DecisionProfile(forest).decide(k)
 
 
 def equitable_chromatic_number(forest: Forest,

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .constructor import ProofStepError, construct, realize2, verify
+from .constructor import ProofStepError, construct, verify
 from .equitable import DecisionProfile, decide
 from .forest import Forest, max_degree_vertices, serialize_forest
 from .oracle import (
@@ -144,14 +144,30 @@ def check_equiv(max_n: int = 64) -> SuiteReport:
     return report
 
 
+def _construct_and_verify(report: SuiteReport, forest: Forest, k: int,
+                          profile: DecisionProfile) -> None:
+    """Construct a yes-instance and verify the coloring; a failed step or
+    an invalid coloring is recorded as a counterexample."""
+    try:
+        coloring, _ = construct(forest, k, profile)
+    except ProofStepError as exc:
+        report.counterexamples.append(
+            _payload(forest, f"construction step failed: {exc}", k))
+        return
+    outcome = verify(forest, coloring)
+    if not outcome.ok:
+        report.counterexamples.append(
+            _payload(forest, f"construction invalid: {outcome}", k))
+
+
 def check_main(max_n: int = 8, shards: int = 1, shard_index: int = 0,
                construct_yes: bool = False) -> SuiteReport:
     """decide vs. oracle for every labeled tree n <= max_n and k in 3..n;
     the same sweep compares decide2 against the oracle at k = 2.
 
-    With construct_yes=True every yes-instance (including k = 2 ones,
-    through their orientation witnesses) is also constructed and
-    verified; a failed construction step counts as a counterexample.
+    With construct_yes=True every yes-instance, k = 2 ones included, is
+    also constructed and verified; a failed construction step counts as
+    a counterexample.
     `checked` counts only the k >= 3 pairs.  Each tree is decided and
     constructed through one DecisionProfile, so its alpha_x and its
     bipartition are computed once for all k.
@@ -166,19 +182,14 @@ def check_main(max_n: int = 8, shards: int = 1, shard_index: int = 0,
         lo, hi = _shard_range(total, shards, shard_index)
         for forest in labeled_trees_in_range(n, lo, hi):
             profile = DecisionProfile(forest)
-            report2 = profile.decide(2)
-            colorable2 = report2.colorable
+            colorable2 = profile.decide(2).colorable
             two_color_pairs += 1
             if colorable2 != oracle_exists(forest, 2):
                 report.counterexamples.append(
                     _payload(forest, f"decide2={colorable2} oracle2 disagrees", 2)
                 )
             elif colorable2 and construct_yes:
-                realized = realize2(forest, report2)
-                if not verify(forest, realized).ok:
-                    report.counterexamples.append(
-                        _payload(forest, "2-class realization invalid", 2)
-                    )
+                _construct_and_verify(report, forest, 2, profile)
             for k in range(3, n + 1):
                 verdict = profile.decide(k).colorable
                 truth = oracle_exists(forest, k)
@@ -191,18 +202,7 @@ def check_main(max_n: int = 8, shards: int = 1, shard_index: int = 0,
                 if k == 3 and colorable2 and not verdict:
                     two_color_gap += 1
                 if construct_yes and verdict:
-                    try:
-                        coloring, _ = construct(forest, k, profile)
-                    except ProofStepError as exc:
-                        report.counterexamples.append(
-                            _payload(forest, f"construction step failed: {exc}", k)
-                        )
-                        continue
-                    outcome = verify(forest, coloring)
-                    if not outcome.ok:
-                        report.counterexamples.append(
-                            _payload(forest, f"construction invalid: {outcome}", k)
-                        )
+                    _construct_and_verify(report, forest, k, profile)
     report.notes.append(f"k=2 decisions compared with the oracle: {two_color_pairs}")
     report.notes.append(
         f"2-colorable-but-not-3-colorable trees observed: {two_color_gap}"

@@ -8,7 +8,7 @@ check; the search code works directly from the definitions.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import islice, product
 
 from .forest import Forest
 
@@ -186,13 +186,6 @@ def decode_prufer(n: int, word) -> list[tuple[int, int]]:
     return edges
 
 
-def _word_from_index(n: int, length: int, index: int) -> tuple[int, ...]:
-    digits = [0] * length
-    for pos in range(length - 1, -1, -1):
-        index, digits[pos] = divmod(index, n)
-    return tuple(digits)
-
-
 def labeled_trees_in_range(n: int, start: int, stop: int):
     """Trees for Prufer-word indices [start, stop); the sharding surface.
 
@@ -202,32 +195,15 @@ def labeled_trees_in_range(n: int, start: int, stop: int):
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    total = num_labeled_trees(n)
     start = max(start, 0)
-    stop = min(stop, total)
-    if n == 1:
+    stop = max(start, min(stop, num_labeled_trees(n)))
+    if n == 1:  # no Prufer word: decoding needs two leaves
         if start < stop:
             yield Forest._from_tree_edges(1, ())
         return
-    if n == 2:
-        if start < stop:
-            yield Forest._from_tree_edges(2, ((0, 1),))
-        return
-    length = n - 2
     from_tree = Forest._from_tree_edges
-    decode = decode_prufer
-    if start == 0 and stop == total:
-        for word in product(range(n), repeat=length):
-            yield from_tree(n, decode(n, word))
-        return
-    word = list(_word_from_index(n, length, start))
-    for _ in range(start, stop):
-        yield from_tree(n, decode(n, word))
-        for pos in range(length - 1, -1, -1):
-            word[pos] += 1
-            if word[pos] < n:
-                break
-            word[pos] = 0
+    for word in islice(product(range(n), repeat=n - 2), start, stop):
+        yield from_tree(n, decode_prufer(n, word))
 
 
 def _is_centre_rooted(seq: list[int], m: int) -> bool:

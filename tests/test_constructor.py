@@ -7,6 +7,7 @@ import pytest
 
 import equiforest.equitable as equitable
 from equiforest import (
+    ConstructionTrace,
     DecisionProfile,
     Forest,
     NotColorableError,
@@ -23,17 +24,27 @@ from equiforest import (
     verify,
 )
 from equiforest.constructor import (
+    BRANCH_EDGELESS,
+    BRANCH_EMPTY,
     BRANCH_EQUALITY,
     BRANCH_HARVEST,
     BRANCH_PIVOT_MULTI,
     BRANCH_PIVOT_SINGLE,
     BRANCH_SPLIT,
+    BRANCH_TWO_SIDES,
     format_coloring,
     parse_coloring_text,
 )
 from equiforest.generators import FamilySpec, gen_family
 
-from conftest import leaf_branch_sweep, leaf_heavy_forest, random_bipartite_tree
+from conftest import (
+    all_labeled_forests,
+    leaf_branch_sweep,
+    leaf_heavy_forest,
+    random_bipartite_tree,
+    seeded_random_forests,
+)
+from reference_constructor import reference_color
 
 
 def path(n):
@@ -82,9 +93,15 @@ class TestConstructExamples:
         with pytest.raises(NotColorableError):
             construct(star(5), 3)
 
-    def test_small_k_rejected(self):
+    def test_k2_is_the_two_sides_realization(self):
+        f = path(4)
+        coloring, trace = construct(f, 2)
+        assert coloring == realize2(f, decide2(f))
+        assert trace == ConstructionTrace(branch=BRANCH_TWO_SIDES)
+
+    def test_k_zero_rejected(self):
         with pytest.raises(ValueError):
-            construct(path(4), 2)
+            construct(path(4), 0)
 
     def test_empty_forest(self):
         coloring, trace = construct(parse_forest("0"), 3)
@@ -172,9 +189,9 @@ class TestConstructSweeps:
                     assert_sound(f, k)
 
 
-def _construct_outcome(forest, k, profile=None):
+def _construct_outcome(forest, k, profile=None, color=construct):
     try:
-        return construct(forest, k, profile)
+        return color(forest, k, profile)
     except NotColorableError:
         return "not colorable"
 
@@ -221,6 +238,46 @@ class TestConstructProfile:
             for k in range(3, 9):
                 assert (_construct_outcome(f, k, profile)
                         == _construct_outcome(f, k)), (seed, k)
+
+
+class TestAgainstReference:
+    """construct against the constructor and the CLI's k <= 2 dispatch it
+    replaced (``reference_color``): the same
+    assignment and the same full trace, or the same NotColorableError,
+    at every k >= 1."""
+
+    @staticmethod
+    def _check(forest, ks, branches):
+        profile = DecisionProfile(forest)
+        for k in ks:
+            got = _construct_outcome(forest, k, profile)
+            want = _construct_outcome(forest, k, color=reference_color)
+            assert got == want, (forest, k)
+            branches[got if got == "not colorable" else got[1].branch] += 1
+
+    def test_all_labeled_forests(self):
+        branches = Counter()
+        self._check(parse_forest("0"), range(1, 5), branches)
+        for n in range(1, 7):
+            for f in all_labeled_forests(n):
+                self._check(f, range(1, n + 2), branches)
+        assert set(branches) == {"not colorable", BRANCH_EDGELESS, BRANCH_TWO_SIDES,
+                                 BRANCH_EMPTY, BRANCH_EQUALITY, BRANCH_SPLIT}, branches
+
+    def test_seeded_random_forests(self):
+        branches = Counter()
+        for f in seeded_random_forests():
+            self._check(f, (1, 2, 3, 4, 5, 7, 12), branches)
+        assert set(branches) == {"not colorable", BRANCH_EDGELESS, BRANCH_TWO_SIDES,
+                                 BRANCH_EQUALITY, BRANCH_SPLIT}, branches
+
+    def test_leaf_heavy_forests(self):
+        branches = Counter()
+        for seed in range(3000):
+            self._check(leaf_heavy_forest(seed), range(1, 9), branches)
+        for branch in (BRANCH_EQUALITY, BRANCH_SPLIT, BRANCH_HARVEST,
+                       BRANCH_PIVOT_SINGLE, BRANCH_PIVOT_MULTI):
+            assert branches[branch] >= 500, branches
 
 
 class TestLeafBranchesInBulk:

@@ -9,12 +9,13 @@ import equiforest.equitable as equitable
 import reference_decision
 from equiforest import (
     DecisionProfile,
+    NotColorableError,
     alpha_profile,
     class_sizes,
+    construct,
     decide,
     decide1,
     decide2,
-    decide_any,
     enumerate_labeled_trees,
     equitable_chromatic_number,
     lower_bound,
@@ -75,9 +76,17 @@ class TestDecide:
         for f in (path(5), star(7), gen_family(FamilySpec("random_tree", (9,), 3))):
             assert decide(f, f.n).colorable
 
-    def test_rejects_small_k(self):
+    def test_small_k_matches_profile(self):
+        for f in (parse_forest("0"), parse_forest("5"), path(4), star(5)):
+            for k in (1, 2):
+                assert decide(f, k) == DecisionProfile(f).decide(k), (f, k)
+        assert decide(parse_forest("5"), 1).colorable
+        assert decide(path(4), 2).colorable
+        assert not decide(star(5), 3).colorable
+
+    def test_rejects_k_zero(self):
         with pytest.raises(ValueError):
-            decide(path(3), 2)
+            decide(path(3), 0)
 
     def test_fast_path_agrees_with_full_scan_exhaustive(self):
         for n in range(3, 8):
@@ -245,7 +254,8 @@ class TestDecisionProfile:
             DecisionProfile(path(3)).decide(0)
 
     def test_walks_are_lazy_and_kept(self, monkeypatch):
-        calls = {"alpha_x": 0, "select_bipartition": 0, "decide2": 0}
+        calls = {"max_degree_vertices": 0, "alpha_x": 0, "select_bipartition": 0,
+                 "decide2": 0}
 
         def counting(name):
             original = getattr(equitable, name)
@@ -261,13 +271,23 @@ class TestDecisionProfile:
         profile = DecisionProfile(f)
         profile.decide(1)
         profile.decide(2)
-        assert calls == {"alpha_x": 0, "select_bipartition": 0, "decide2": 1}
+        for k in (1, 2):  # both "no" on this forest
+            with pytest.raises(NotColorableError):
+                construct(f, k, profile)
+        assert calls == {"max_degree_vertices": 0, "alpha_x": 0,
+                         "select_bipartition": 0, "decide2": 1}
+        construct(parse_forest("4"), 1)
+        construct(path(6), 2)
+        assert calls == {"max_degree_vertices": 0, "alpha_x": 0,
+                         "select_bipartition": 0, "decide2": 2}
         for k in range(3, f.n + 1):
             profile.decide(k)
-        assert calls == {"alpha_x": 1, "select_bipartition": 0, "decide2": 1}
+        assert calls == {"max_degree_vertices": 1, "alpha_x": 1,
+                         "select_bipartition": 0, "decide2": 2}
         assert profile.bipartition is profile.bipartition
         assert profile.decide(2) is profile.decide(2)
-        assert calls == {"alpha_x": 1, "select_bipartition": 1, "decide2": 1}
+        assert calls == {"max_degree_vertices": 1, "alpha_x": 1,
+                         "select_bipartition": 1, "decide2": 2}
 
 
 class TestDecisionProfileAgainstReference:
@@ -323,15 +343,6 @@ class TestDecide1:
                     u, v = f.edges[0]
                     assert report.witness_vertex == u, f
                     assert report.note == f"edge ({u}, {v}) forbids one class", f
-
-
-class TestDecideAny:
-    def test_dispatch(self):
-        assert decide_any(parse_forest("5"), 1).colorable
-        assert decide_any(path(4), 2).colorable
-        assert not decide_any(star(5), 3).colorable
-        with pytest.raises(ValueError):
-            decide_any(path(3), 0)
 
 
 class TestChromaticNumber:

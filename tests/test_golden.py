@@ -46,6 +46,12 @@ def golden_commands() -> list[tuple[str, ...]]:
     commands.append(("table", "star:3..8") + _JSON)
     commands.append(("table", "star:3..8", "--csv"))
     commands.append(("table", "paper3path:3..6") + _JSON)
+    # the edgeless, two-sides and empty branches, and a k = 1 "no"
+    commands.append(("color", "--k", "1", "family:random_forest:6,6,1") + _JSON)
+    commands.append(("color", "--k", "1", "family:path:3") + _JSON)
+    commands.append(("color", "--k", "2", "family:path:0") + _JSON)
+    commands.append(("color", "--k", "3", "family:path:0") + _JSON)
+    commands.append(("table", "path:0..4") + _JSON)
     return commands
 
 
@@ -75,7 +81,7 @@ def record() -> None:
 
 def test_names_are_distinct():
     names = [golden_name(argv) for argv in golden_commands()]
-    assert len(set(names)) == len(names) == 33
+    assert len(set(names)) == len(names) == 38
 
 
 @pytest.mark.parametrize("argv", golden_commands(), ids=golden_name)

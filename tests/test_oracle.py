@@ -18,6 +18,7 @@ from equiforest import (
 )
 from equiforest.generators import FamilySpec, gen_family
 
+import reference_enumeration
 from conftest import brute_alpha, brute_alpha_x, brute_equitable_exists
 
 
@@ -63,6 +64,19 @@ class TestEnumeration:
         for lo, hi in zip(cuts, cuts[1:]):
             pieces.extend(f.edges for f in labeled_trees_in_range(n, lo, hi))
         assert pieces == full
+
+    def test_ranges_match_reference(self):
+        # full, clamped, partial, empty and reversed index ranges
+        for n in range(1, 8):
+            total = num_labeled_trees(n)
+            ranges = [(0, total), (-5, total + 5), (1, total - 1),
+                      (total // 3, 2 * total // 3 + 1), (total // 2, total // 2),
+                      (total, total + 3), (total - 1, 1), (5, -2)]
+            for lo, hi in ranges:
+                got = list(labeled_trees_in_range(n, lo, hi))
+                want = list(reference_enumeration.labeled_trees_in_range(n, lo, hi))
+                assert got == want, (n, lo, hi)
+                assert [f.edges for f in got] == [f.edges for f in want], (n, lo, hi)
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
