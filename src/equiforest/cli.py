@@ -10,12 +10,18 @@ bytes).  Counterexamples always carry a replayable edge list.
 
 Exit codes: 0 success/yes, 1 no/invalid/counterexamples found, 2 input
 or usage error, 3 construction step failure.
+
+``main(argv)`` may be called many times in one process: the argument
+parser is built on the first call and reused, while the
+``EQUIFOREST_SHARDS`` default is read on every call.  ``build_parser()``
+returns a fresh parser.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -110,7 +116,7 @@ def cmd_decide(args) -> int:
         "witness_vertex": outcome.witness_vertex,
         "witness_alpha": outcome.witness_alpha,
         "orientation": None if outcome.orientation is None
-        else [int(f) for f in outcome.orientation],
+        else list(map(int, outcome.orientation)),
         "note": outcome.note,
         "n": forest.n,
     }
@@ -232,7 +238,7 @@ def _table_rows(family: str, lo: int, hi: int):
         profile = DecisionProfile(forest)
         side = profile.bipartition
         bound = lower_bound(forest)
-        chi = equitable_chromatic_number(forest, bound)
+        chi = equitable_chromatic_number(forest, bound, profile)
         # chi is 0 only for the empty forest, which every k >= 3 colors
         _, trace = construct(forest, chi or 3, profile)
         yield {
@@ -270,6 +276,14 @@ def cmd_table(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A fresh parser; the --shards default is the shard environment
+    variable as it reads now."""
+    return _build_parsers()[0]
+
+
+def _build_parsers() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
+    # the parser and its check-theorems subparser, whose --shards default
+    # main() refreshes on every call
     parser = argparse.ArgumentParser(
         prog="equiforest",
         description="Equitable k-colorings of forests: decide, construct, verify.",
@@ -307,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_chromatic)
 
-    p = sub.add_parser("check-theorems", help="exhaustive property suites")
+    p = check_parser = sub.add_parser("check-theorems", help="exhaustive property suites")
     p.add_argument("--max-n", type=int, default=None,
                    help="largest tree order (clamped per suite: "
                         + ", ".join(f"{k}<={v}" for k, v in SUITE_MAX_N.items()) + ")")
@@ -329,12 +343,16 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_table)
 
-    return parser
+    return parser, check_parser
+
+
+_shared_parsers = functools.cache(_build_parsers)
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    parser, check_parser = _shared_parsers()
+    check_parser.set_defaults(shards=os.environ.get(SHARDS_ENV, "1"))
     args = parser.parse_args(argv)
     args._argv = argv
     args._t0 = time.perf_counter()

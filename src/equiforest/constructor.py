@@ -11,6 +11,8 @@ so it raises ProofStepError with the partial trace.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import compress
+from operator import not_
 
 from .equitable import DecisionProfile, class_sizes
 from .forest import Forest, leaves_in
@@ -178,8 +180,8 @@ def construct(forest: Forest, k: int, profile: DecisionProfile | None = None
     sizes = class_sizes(n, k).sizes
     side = profile.bipartition
     b = side.b
-    vertices_a = sorted(side.side_a())
-    vertices_b = sorted(side.side_b())
+    vertices_a = list(compress(range(n), side.in_a))
+    vertices_b = list(compress(range(n), map(not_, side.in_a)))
 
     acc = 0
     j = k
@@ -222,7 +224,9 @@ def _split_branch(forest, sizes, side, j, prefix_j, assignment,
     b = side.b
     s = b - (prefix_j - sizes[j - 1])
     adjacency = forest.adjacency
-    by_degree = sorted(vertices_b, key=lambda v: (len(adjacency[v]), v))
+    degrees = list(map(len, adjacency))
+    # a stable sort of the ascending vertices_b: by (degree, id)
+    by_degree = sorted(vertices_b, key=degrees.__getitem__)
     donors = by_degree[:s]
     donor_set = frozenset(donors)
     trace = ConstructionTrace(branch=BRANCH_SPLIT, split_index=j, donors=donor_set)

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby
+from operator import sub
 
 from .forest import Bipartition, Forest, max_degree_vertices, select_bipartition
 from .stability import LowerBoundReport, alpha_x, lower_bound
@@ -144,11 +146,14 @@ def decide2(forest: Forest) -> DecisionReport:
     Starting from every component's smaller side, turning component i
     round adds |a_i - b_i|.  Components with equal a_i - b_i form one
     group, and since these differences sum to at most n there are
-    O(sqrt(n)) groups.  Each group is split into chunks of 1, 2, 4, ...
-    components, and one bitset of the sums reachable up to the target is
-    shift-or'ed once per chunk; the bitset before each chunk is kept for
-    the witness, O(sum over groups of log(size)) rows of at most
-    floor(n/2) + 1 bits.
+    O(sqrt(n)) groups.  The groups come from one stable sort of the c
+    component ids by a_i - b_i, so each group lists its ids ascending,
+    and are then ordered by their lowest id: O(c log c), in C-level
+    passes with no Python-level step per component.  Each group is split
+    into chunks of 1, 2, 4, ... components, and one bitset of the sums
+    reachable up to the target is shift-or'ed once per chunk; the bitset
+    before each chunk is kept for the witness, O(sum over groups of
+    log(size)) rows of at most floor(n/2) + 1 bits.
 
     Witness: the chunks are walked backwards, meeting the groups in order
     of their lowest component id, and each chunk's components take their
@@ -159,17 +164,20 @@ def decide2(forest: Forest) -> DecisionReport:
     always the lexicographically greatest one.
     """
     target = forest.n // 2
-    sides = forest.sides
-    groups: dict[int, list[int]] = {}  # a_i - b_i -> component ids, ascending
-    need = target  # what the turned components must add to the smaller sides
-    for i, (a, b) in enumerate(zip(sides.first, sides.second)):
-        need -= min(a, b)
-        if a != b:
-            groups.setdefault(a - b, []).append(i)
+    diffs = list(map(sub, forest.sides.first, forest.sides.second))
+    # what the turned components must add to the smaller sides, whose sum
+    # is (n - sum |a_i - b_i|) / 2
+    need = target - (forest.n - sum(map(abs, diffs))) // 2
+    # a stable sort by a_i - b_i lists each group's ids ascending; the
+    # groups (a_i = b_i left out) are then put in order of their lowest id
+    by_diff = sorted(range(len(diffs)), key=diffs.__getitem__)
+    groups = dict(sorted(
+        ((d, list(ids)) for d, ids in groupby(by_diff, diffs.__getitem__) if d),
+        key=lambda group: group[1][0]))
     mask = (1 << (need + 1)) - 1
     reach = 1
     chunks = []  # (group key, components, reachable sums before the chunk)
-    # groups were keyed by lowest id; reversed, the witness walk meets them so
+    # reversed, the witness walk meets the groups in order of their lowest id
     for d in reversed(groups):
         left = len(groups[d])
         size = 1
@@ -190,7 +198,7 @@ def decide2(forest: Forest) -> DecisionReport:
         if not (before >> need) & 1 or (d > 0 and turn_ok):
             need -= shift
             turned[d] += take
-    orientation = [True] * len(sides.first)
+    orientation = [True] * len(diffs)
     for d, members in groups.items():
         # a turned component contributes its larger side
         first_count = turned[d] if d > 0 else len(members) - turned[d]
@@ -210,20 +218,27 @@ def decide1(forest: Forest) -> DecisionReport:
 
 
 def equitable_chromatic_number(forest: Forest,
-                               bound: LowerBoundReport | None = None) -> int:
+                               bound: LowerBoundReport | None = None,
+                               profile: DecisionProfile | None = None) -> int:
     """Least k admitting an equitable k-coloring; 0 for the empty forest.
 
     k = 1 and k = 2 are tested explicitly; for k >= 3 the per-vertex
     threshold is monotone in k, so the answer is the larger of 3 and the
     stability lower bound.  A caller that already holds the forest's
     ``lower_bound`` report passes it as ``bound``, so the stability
-    profile is computed once.
+    profile is computed once, and one that holds its DecisionProfile
+    passes it as ``profile``, whose k = 2 report is then read or kept.
+    Raises ValueError when the profile belongs to another forest object.
     """
+    if profile is None:
+        profile = DecisionProfile(forest)
+    elif profile.forest is not forest:
+        raise ValueError("decision profile was built for another forest")
     if forest.n == 0:
         return 0
-    if decide1(forest).colorable:
+    if profile.decide(1).colorable:
         return 1
-    if decide2(forest).colorable:
+    if profile.decide(2).colorable:
         return 2
     if bound is None:
         bound = lower_bound(forest)

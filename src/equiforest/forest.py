@@ -395,9 +395,11 @@ class Bipartition:
             raise ForestError("side counts inconsistent with flags")
         if self.a < self.b:
             raise ForestError("side A must be at least as large as side B")
-        for u, v in forest.edges:
-            if self.in_a[u] == self.in_a[v]:
-                raise ForestError(f"edge ({u}, {v}) does not cross the bipartition")
+        # each edge once, as (vertex, parent); a root's parent -1 reads None
+        parent_in_a = map((self.in_a + (None,)).__getitem__, forest.parent)
+        if any(map(eq, self.in_a, parent_in_a)):
+            u, v = next((u, v) for u, v in forest.edges if self.in_a[u] == self.in_a[v])
+            raise ForestError(f"edge ({u}, {v}) does not cross the bipartition")
 
 
 def leaves_in(forest: Forest, side: Bipartition) -> frozenset[int]:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import equiforest.cli as cli
+import equiforest.equitable as equitable
 import equiforest.forest as forest_module
 import equiforest.stability as stability
 from equiforest import serialize_forest
@@ -95,6 +96,15 @@ class TestColorCommand:
             main(["color", "--k", "3", "--strategy", "proof-strict", "family:path:6"])
         assert exc.value.code == 2
         assert "--strategy" in capsys.readouterr().err
+
+    def test_output_not_kept_by_next_call(self, capsys, tmp_path):
+        out_file = tmp_path / "coloring.txt"
+        assert run(capsys, "color", "--k", "3", "family:path:6",
+                   "--output", str(out_file))[0] == 0
+        out_file.unlink()
+        code, out, _ = run(capsys, "color", "--k", "3", "family:path:6")
+        assert code == 0 and "\n0 " in out  # the coloring is printed instead
+        assert not out_file.exists()
 
     def test_not_colorable_exit_1(self, capsys):
         assert run(capsys, "color", "--k", "3", "family:star:5")[0] == 1
@@ -219,6 +229,35 @@ class TestCheckTheoremsCommand:
             main(["check-theorems", "--which", "equiv"])
         assert exc.value.code == 2
         assert "--shards" in capsys.readouterr().err
+
+    def test_build_parser_is_fresh(self):
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_shards_env_read_per_call(self, capsys, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "run_checks",
+                            lambda which, max_n, shards, shard_index: seen.append(shards) or {})
+        for value in ("2", "3"):
+            monkeypatch.setenv(cli.SHARDS_ENV, value)
+            assert run(capsys, "check-theorems", "--which", "equiv")[0] == 0
+        monkeypatch.delenv(cli.SHARDS_ENV)
+        assert run(capsys, "check-theorems", "--which", "equiv")[0] == 0
+        assert seen == [2, 3, 1]
+
+    def test_bad_shards_env_after_good_call(self, capsys, monkeypatch):
+        argv = ["check-theorems", "--which", "equiv"]
+        monkeypatch.setenv(cli.SHARDS_ENV, "2")
+        assert run(capsys, *argv)[0] == 0
+        monkeypatch.setenv(cli.SHARDS_ENV, "x")
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        reused = capsys.readouterr()
+        with pytest.raises(SystemExit) as fresh_exc:
+            cli.build_parser().parse_args(argv)
+        fresh = capsys.readouterr()
+        assert exc.value.code == fresh_exc.value.code == 2
+        assert (reused.out, reused.err) == (fresh.out, fresh.err)
+        assert "invalid int value: 'x'" in reused.err
 
     def test_bad_shards_env_ignored_by_other_commands(self, capsys, monkeypatch):
         monkeypatch.setenv(cli.SHARDS_ENV, "x")
@@ -396,6 +435,22 @@ class TestTableCommand:
 
     def test_bad_spec_exit_2(self, capsys):
         assert run(capsys, "table", "star-3-8")[0] == 2
+
+    def test_one_k2_decision_per_row(self, capsys, monkeypatch):
+        calls = []
+        real = equitable.decide2
+
+        def counted(forest):
+            calls.append(forest.n)
+            return real(forest)
+
+        monkeypatch.setattr(equitable, "decide2", counted)
+        code, out, _ = run(capsys, "table", "path:2..4")
+        assert code == 0
+        assert out.splitlines()[1:] == ["family:path:2,2,1,1,1,2,2,two-sides",
+                                        "family:path:3,3,2,2,1,2,2,two-sides",
+                                        "family:path:4,4,2,2,2,2,2,two-sides"]
+        assert calls == [2, 3, 4]
 
     def test_json_rows(self, capsys):
         _, out, _ = run(capsys, "table", "star:3..4", "--json", "--no-timing")

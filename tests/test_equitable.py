@@ -24,9 +24,14 @@ from equiforest import (
     realize2,
     verify,
 )
-from equiforest.generators import FamilySpec, gen_family
+from equiforest.generators import FamilySpec, gen_family, random_forest
 
-from conftest import all_labeled_forests, forests, seeded_random_forests
+from conftest import (
+    all_labeled_forests,
+    forest_from_profile,
+    forests,
+    seeded_random_forests,
+)
 from reference_side_choice import reference_decide2
 
 
@@ -231,6 +236,58 @@ class TestDecide2AgainstReference:
             self._check(f)
 
 
+class TestDecide2AgainstLoopReference:
+    """The stable-sort grouping against the per-component loop it
+    replaced: the full report, verdict, note and orientation witness,
+    must be identical."""
+
+    @staticmethod
+    def _same(f):
+        report = decide2(f)
+        assert report == reference_decision.decide2(f), f
+        return report.colorable
+
+    def test_all_labeled_forests(self):
+        for n in range(8):
+            for f in all_labeled_forests(n):
+                self._same(f)
+
+    def test_seeded_random_forests(self):
+        for f in seeded_random_forests():
+            self._same(f)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_many_components(self, seed):
+        for n in (2, 3, 10, 57, 300, 999, 2000):
+            for c in (n // 2, n):
+                self._same(random_forest(n, c, seed))
+
+    @staticmethod
+    def _interleaved(top, scale, singles):
+        # |a_i - b_i| runs over scale * (1..top), in three components
+        # each, with both signs.  The ids interleave the groups, so the
+        # order by lowest id is neither ascending nor descending in
+        # a_i - b_i.
+        diffs = [d * scale if (d + r) % 2 else -d * scale for r in range(3)
+                 for d in sorted(range(1, top + 1), key=lambda d: (d * 5) % top)]
+        parts = [(d + 1, 1) if d > 0 else (1, 1 - d) for d in diffs]
+        f = forest_from_profile(parts + [(1, 0)] * singles)
+        sides = f.sides
+        assert list(map(int.__sub__, sides.first, sides.second))[:len(diffs)] == diffs
+        assert len(set(diffs)) == 2 * top
+        return f
+
+    @pytest.mark.parametrize("singles", range(8))
+    def test_interleaved_groups(self, singles):
+        # 28 groups on about 400 vertices, near the O(sqrt(n)) bound
+        assert self._same(self._interleaved(14, 1, singles))
+
+    def test_interleaved_groups_reach_both_verdicts(self):
+        verdicts = [self._same(self._interleaved(5, scale, singles))
+                    for scale in range(1, 10) for singles in range(4)]
+        assert set(verdicts) == {False, True}
+
+
 class TestDecisionProfile:
     def test_star5(self):
         profile = DecisionProfile(star(5))
@@ -361,6 +418,18 @@ class TestChromaticNumber:
 
     def test_empty_by_convention(self):
         assert equitable_chromatic_number(parse_forest("0")) == 0
+
+    def test_reads_the_callers_profile(self, monkeypatch):
+        calls = []
+        real = equitable.decide2
+        monkeypatch.setattr(equitable, "decide2",
+                            lambda forest: calls.append(forest.n) or real(forest))
+        f = path(6)
+        profile = DecisionProfile(f)
+        assert equitable_chromatic_number(f, profile=profile) == 2
+        assert profile.decide(2).colorable and calls == [6]
+        with pytest.raises(ValueError, match="another forest"):
+            equitable_chromatic_number(path(6), profile=profile)
 
     def test_matches_oracle_minimum_small(self):
         for n in range(1, 7):

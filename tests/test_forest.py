@@ -114,6 +114,20 @@ class TestBipartition:
         side = select_bipartition(parse_forest("0"))
         assert (side.a, side.b) == (0, 0)
 
+    def test_check_names_first_non_crossing_edge(self):
+        # (0, 4) and (1, 2) both fail; the id-ordered parent scan meets
+        # vertex 2 (parent 1) before vertex 4 (parent 0), and the message
+        # still names the lexicographically first edge
+        f = parse_forest("5\n1 2\n2 3\n0 4")
+        assert f.parent == (-1, -1, 1, 2, 0)
+        side = Bipartition.from_flags([1, 1, 1, 0, 1])
+        with pytest.raises(ForestError, match=r"^edge \(0, 4\) does not cross the bipartition$"):
+            side.check(f)
+        # only the last edge of a path fails
+        side = Bipartition.from_flags([1, 0, 1, 1])
+        with pytest.raises(ForestError, match=r"^edge \(2, 3\) does not cross the bipartition$"):
+            side.check(parse_forest("4\n0 1\n1 2\n2 3"))
+
     @settings(max_examples=200)
     @given(forests())
     def test_invariants_random(self, f):
