@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from itertools import compress
 from operator import not_
 
-from .equitable import DecisionProfile, class_sizes
+from .equitable import DecisionProfile, _class_sizes
 from .forest import Forest, leaves_in
 from .stability import stable_set_of_size_min_b
 
@@ -177,7 +177,7 @@ def construct(forest: Forest, k: int, profile: DecisionProfile | None = None
         return realize2(forest, decision), ConstructionTrace(branch=BRANCH_TWO_SIDES)
     if n == 0:
         return EquitableColoring(k, ()), ConstructionTrace(branch=BRANCH_EMPTY)
-    sizes = class_sizes(n, k).sizes
+    sizes = _class_sizes(n, k)
     side = profile.bipartition
     b = side.b
     vertices_a = list(compress(range(n), side.in_a))
@@ -229,19 +229,23 @@ def _split_branch(forest, sizes, side, j, prefix_j, assignment,
     by_degree = sorted(vertices_b, key=degrees.__getitem__)
     donors = by_degree[:s]
     donor_set = frozenset(donors)
-    trace = ConstructionTrace(branch=BRANCH_SPLIT, split_index=j, donors=donor_set)
     blocked = set()
     for v in donors:
         blocked.update(adjacency[v])
     available = [x for x in vertices_a if x not in blocked]
-    _require(
-        s + len(available) >= sizes[0] + 1,
-        "split class pool smaller than s_1 + 1",
-        trace,
-    )
     fill = available[: sizes[j - 1] - s]
-    _require(len(fill) == sizes[j - 1] - s, "not enough unblocked A-vertices", trace)
-    trace = replace(trace, top_fill=frozenset(fill))
+    if s + len(available) < sizes[0] + 1:
+        problem = "split class pool smaller than s_1 + 1"
+    elif len(fill) != sizes[j - 1] - s:
+        problem = "not enough unblocked A-vertices"
+    else:
+        problem = None
+    if problem:
+        # the partial trace a failed check carries; built only then
+        raise ProofStepError(problem, ConstructionTrace(
+            branch=BRANCH_SPLIT, split_index=j, donors=donor_set))
+    trace = ConstructionTrace(branch=BRANCH_SPLIT, split_index=j, donors=donor_set,
+                              top_fill=frozenset(fill))
     for v in donors:
         assignment[v] = j
     for v in fill:

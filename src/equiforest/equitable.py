@@ -11,7 +11,6 @@ chosen sides sum to floor(n/2).  k = 1 requires an edgeless forest.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import groupby
 from operator import sub
 
@@ -29,12 +28,19 @@ class ClassSizes:
     sizes: tuple[int, ...]
 
 
+def _class_sizes(n: int, k: int) -> tuple[int, ...]:
+    # floor((n+i-1)/k) for i = 1..k: k - n % k classes of n // k, then
+    # n % k classes one larger
+    base, extra = divmod(n, k)
+    return (base,) * (k - extra) + (base + 1,) * extra
+
+
 def class_sizes(n: int, k: int) -> ClassSizes:
     if k < 1:
         raise ValueError("k must be >= 1")
     if n < 0:
         raise ValueError("n must be >= 0")
-    return ClassSizes(n, k, tuple((n + i - 1) // k for i in range(1, k + 1)))
+    return ClassSizes(n, k, _class_sizes(n, k))
 
 
 @dataclass(frozen=True)
@@ -57,6 +63,26 @@ class DecisionReport:
     note: str = ""
 
 
+class _kept:
+    """``functools.cached_property`` without its lock: the first read
+    computes the value and stores it in the instance dict, where every
+    later read finds it before this descriptor.  (Python 3.11's
+    ``cached_property`` takes a class-wide lock on every first read.)"""
+
+    def __init__(self, compute):
+        self.compute = compute
+        self.__doc__ = compute.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.compute(instance)
+        return value
+
+
 class DecisionProfile:
     """Everything the decision needs about one forest, for every k.
 
@@ -64,53 +90,64 @@ class DecisionProfile:
     maximum-degree vertex, or nothing when that vertex is not unique.
     So one degree scan and at most one ``alpha_x`` walk answer
     ``decide(k)`` for every k >= 3.  The scan (``vertex``), the walk
-    (``vertex_alpha``), the construction's ``bipartition`` and the k = 2
-    report are computed when first read and then kept, so k = 1 and
-    k = 2 pay for none of the k >= 3 work.
+    (``vertex_alpha``) and the construction's ``bipartition`` are
+    computed when first read and then kept, so k = 1 and k = 2 pay for
+    none of the k >= 3 work.  Every k's report is kept too: ``decide(k)``
+    builds it on the first call and returns that same object after, so
+    ``construct(forest, k, profile)`` re-reads the verdict its caller
+    just asked for.
 
     ``vertex`` is the unique maximum-degree vertex (None when the maximum
     degree is shared, or the forest is empty) and ``vertex_alpha`` its
     alpha_x.
+
+    Nothing is locked: two threads reading a lazy attribute, or deciding
+    a k, for the first time may both compute it, and the later store is
+    kept.  The values are deterministic, so this is harmless.
     """
 
     def __init__(self, forest: Forest):
         self.forest = forest
+        self._reports: dict[int, DecisionReport] = {}
 
-    @cached_property
+    @_kept
     def vertex(self) -> int | None:
         """The unique maximum-degree vertex, or None."""
         candidates = max_degree_vertices(self.forest)
         return candidates[0] if len(candidates) == 1 else None
 
-    @cached_property
+    @_kept
     def vertex_alpha(self) -> int | None:
         """``alpha_x`` at ``vertex``; None when there is no such vertex."""
         return None if self.vertex is None else alpha_x(self.forest, self.vertex)
 
-    @cached_property
+    @_kept
     def bipartition(self) -> Bipartition:
         """``select_bipartition(forest)``; it does not depend on k."""
         return select_bipartition(self.forest)
 
-    @cached_property
-    def _report2(self) -> DecisionReport:
-        return decide2(self.forest)
-
     def decide(self, k: int) -> DecisionReport:
         """Is the forest equitably k-colorable, for any k >= 1?
 
-        k = 1 and k = 2 go to ``decide1`` and ``decide2`` (whose report is
-        kept).  For k >= 3 a vertex violating the floor(n/k) threshold
-        forces more than 3 classes and must then be the unique
-        maximum-degree vertex, so only ``vertex`` is tested, and a shared
-        maximum degree already settles the answer as yes.
+        k = 1 and k = 2 go to ``decide1`` and ``decide2``.  For k >= 3 a
+        vertex violating the floor(n/k) threshold forces more than 3
+        classes and must then be the unique maximum-degree vertex, so
+        only ``vertex`` is tested, and a shared maximum degree already
+        settles the answer as yes.  The report is kept: a second call
+        with the same k returns the same object.
         """
+        report = self._reports.get(k)
+        if report is None:
+            report = self._reports[k] = self._decide(k)
+        return report
+
+    def _decide(self, k: int) -> DecisionReport:
         if k < 1:
             raise ValueError("k must be >= 1")
         if k == 1:
             return decide1(self.forest)
         if k == 2:
-            return self._report2
+            return decide2(self.forest)
         n = self.forest.n
         if n == 0:
             return DecisionReport(k=k, colorable=True, threshold=0, note="empty forest")
@@ -227,7 +264,8 @@ def equitable_chromatic_number(forest: Forest,
     stability lower bound.  A caller that already holds the forest's
     ``lower_bound`` report passes it as ``bound``, so the stability
     profile is computed once, and one that holds its DecisionProfile
-    passes it as ``profile``, whose k = 2 report is then read or kept.
+    passes it as ``profile``, whose k = 1 and k = 2 reports are then read
+    or kept.
     Raises ValueError when the profile belongs to another forest object.
     """
     if profile is None:

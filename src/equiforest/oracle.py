@@ -57,7 +57,9 @@ def backtrack_equitable(forest: Forest, k: int) -> tuple[int, ...] | None:
         return ()
     caps = _size_multiset(n, k)
     masks = _adjacency_masks(forest)
-    order = sorted(range(n), key=lambda v: (-len(forest.adjacency[v]), v))
+    degrees = list(map(len, forest.adjacency))
+    # stable, so ties keep ascending ids: the (-degree, id) order
+    order = sorted(range(n), key=degrees.__getitem__, reverse=True)
     counts = [0] * k
     class_masks = [0] * k
     assignment = [0] * n

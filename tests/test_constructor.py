@@ -5,13 +5,16 @@ from collections import Counter
 
 import pytest
 
+import equiforest.constructor as constructor
 import equiforest.equitable as equitable
+import reference_constructor
 from equiforest import (
     ConstructionTrace,
     DecisionProfile,
     Forest,
     NotColorableError,
     EquitableColoring,
+    ProofStepError,
     class_sizes,
     construct,
     decide,
@@ -278,6 +281,34 @@ class TestAgainstReference:
         for branch in (BRANCH_EQUALITY, BRANCH_SPLIT, BRANCH_HARVEST,
                        BRANCH_PIVOT_SINGLE, BRANCH_PIVOT_MULTI):
             assert branches[branch] >= 500, branches
+
+
+class TestSplitBranchFailures:
+    """Both feasibility checks of the split branch, tripped by crafted
+    class sizes, since no valid input reaches them: the same message and
+    the same partial trace as the reference's split branch."""
+
+    @pytest.mark.parametrize("sizes,prefix_j,message", [
+        # s = 1 donor (the centre) blocks every leaf: 1 < s_1 + 1 = 2
+        ((1, 2, 2), 2, "split class pool smaller than s_1 + 1"),
+        # the pool passes (1 >= 0 + 1), but class 2 needs one more vertex
+        ((0, 2, 3), 2, "not enough unblocked A-vertices"),
+    ])
+    def test_same_error_and_trace(self, sizes, prefix_j, message):
+        f = star(4)
+        side = select_bipartition(f)
+        assert (side.a, side.b) == (4, 1)
+        vertices_a, vertices_b = [1, 2, 3, 4], [0]
+        outcomes = []
+        for split, extra in ((constructor._split_branch, ()),
+                             (reference_constructor._split_branch, (len(sizes),))):
+            with pytest.raises(ProofStepError) as failure:
+                split(f, *extra, sizes, side, 2, prefix_j, [0] * f.n,
+                      vertices_a, vertices_b)
+            outcomes.append((str(failure.value), failure.value.trace))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0] == (message, ConstructionTrace(
+            branch=BRANCH_SPLIT, split_index=2, donors=frozenset({0})))
 
 
 class TestLeafBranchesInBulk:

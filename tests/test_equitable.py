@@ -56,6 +56,12 @@ class TestClassSizes:
         with pytest.raises(ValueError):
             class_sizes(5, 0)
 
+    def test_closed_form(self):
+        for n in range(301):
+            for k in range(1, 41):
+                assert class_sizes(n, k).sizes == tuple(
+                    (n + i - 1) // k for i in range(1, k + 1)), (n, k)
+
     @given(st.integers(0, 500), st.integers(1, 40))
     def test_invariants(self, n, k):
         sizes = class_sizes(n, k).sizes
@@ -345,6 +351,51 @@ class TestDecisionProfile:
         assert profile.decide(2) is profile.decide(2)
         assert calls == {"max_degree_vertices": 1, "alpha_x": 1,
                          "select_bipartition": 1, "decide2": 2}
+
+
+class TestKeptReports:
+    """DecisionProfile keeps one report per k, k = 1 and k = 2 included;
+    a kept report equals the one a fresh profile builds."""
+
+    @staticmethod
+    def _check(f):
+        profile = DecisionProfile(f)
+        ks = range(f.n + 1, 0, -1)  # the other order from a fresh profile's
+        reports = [profile.decide(k) for k in ks]
+        for k, report in zip(ks, reports):
+            assert profile.decide(k) is report, (f, k)
+            assert report == DecisionProfile(f).decide(k), (f, k)
+
+    def test_all_labeled_forests(self):
+        for n in range(7):
+            for f in all_labeled_forests(n):
+                self._check(f)
+
+    def test_seeded_random_forests(self):
+        for f in seeded_random_forests():
+            self._check(f)
+
+    def test_construct_builds_no_second_report(self, monkeypatch):
+        built = []
+        real = equitable.DecisionReport
+
+        def counting(*args, **kwargs):
+            built.append(kwargs["k"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(equitable, "DecisionReport", counting)
+        for f in (gen_family(FamilySpec("paper3path", (3,))), path(7), star(6),
+                  parse_forest("5")):
+            profile = DecisionProfile(f)
+            for k in range(1, f.n + 2):
+                report = profile.decide(k)
+                assert built == [k], (f, k)
+                try:
+                    construct(f, k, profile)
+                except NotColorableError:
+                    assert not report.colorable, (f, k)
+                assert built == [k], (f, k)
+                built.clear()
 
 
 class TestDecisionProfileAgainstReference:

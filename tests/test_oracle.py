@@ -19,7 +19,14 @@ from equiforest import (
 from equiforest.generators import FamilySpec, gen_family
 
 import reference_enumeration
-from conftest import brute_alpha, brute_alpha_x, brute_equitable_exists
+import reference_oracle
+from conftest import (
+    all_labeled_forests,
+    brute_alpha,
+    brute_alpha_x,
+    brute_equitable_exists,
+    seeded_random_forests,
+)
 
 
 def path(n):
@@ -121,6 +128,33 @@ class TestOracleExists:
             g = Forest.from_edges(n, ((perm[u], perm[v]) for u, v in f.edges))
             k = rng.randint(2, n)
             assert oracle_exists(f, k) == oracle_exists(g, k)
+
+
+class TestBacktrackAgainstReference:
+    """The search against its verbatim copy from before the C-level vertex
+    order: the same witness (or None) at every k.  Forests have many
+    degree ties, which is where the order could drift."""
+
+    @staticmethod
+    def _same(f, found):
+        for k in range(1, f.n + 1):
+            witness = oracle_coloring(f, k)
+            assert witness == reference_oracle.backtrack_equitable(f, k), (f, k)
+            found[witness is not None] += 1
+
+    def test_all_labeled_forests(self):
+        found = [0, 0]
+        for n in range(1, 7):
+            for f in all_labeled_forests(n):
+                self._same(f, found)
+        assert all(found), found  # both outcomes compared
+
+    def test_seeded_random_forests(self):
+        found = [0, 0]
+        small = [f for f in seeded_random_forests() if f.n <= 12]
+        for f in small:
+            self._same(f, found)
+        assert len(small) >= 10 and found[1], (len(small), found)
 
 
 class TestOracleStability:
