@@ -67,9 +67,11 @@ class ConstructionTrace:
 
     donors: B-vertices singled out for the boundary class (the split
     class in the split branch, the leaf-donor set in the harvest and
-    pivot branches).  top_fill / bottom_fill: A-vertices (leaves, in the
-    harvest branch) completing the largest / smallest class.  pivot and
-    pivot_set: the donor vertex whose stable set seeds the smallest
+    pivot branches).  top_fill: A-vertices completing the split class in
+    the split branch; in every leaf branch, the A-leaves dominated by the
+    smallest class that complete the largest class.  bottom_fill: the
+    leaves completing the smallest class in the harvest branch.  pivot
+    and pivot_set: the donor vertex whose stable set is the smallest
     class, and that stable set.  fallback_used: always False; a failed
     step raises instead, and the field stays for report compatibility.
     """
@@ -255,20 +257,22 @@ def _split_branch(forest, sizes, side, j, prefix_j, assignment,
 
 def _leaf_branches(forest, k, sizes, side, assignment, vertices_a, vertices_b):
     # b < floor(n/k): B alone cannot fill the smallest class prefix, so
-    # classes are assembled from B plus leaves on side A.
+    # classes are assembled from B plus leaves on side A.  Class 1 is a
+    # stable set S of floor(n/k) vertices; class k is B minus S, topped up
+    # with the A-leaves whose neighbor lies in S.
     a, b = side.a, side.b
-    floor_nk = sizes[0]
-    ceil_nk = sizes[-1]
+    floor_nk, ceil_nk = sizes[0], sizes[-1]
     adjacency = forest.adjacency
-    base_trace = ConstructionTrace(branch=BRANCH_HARVEST, split_index=1)
+    trace = ConstructionTrace(branch=BRANCH_HARVEST, split_index=1)
     _require(
         all(adjacency[v] for v in vertices_a),
         "side A has an isolated vertex despite the bipartition choice",
-        base_trace,
+        trace,
     )
     leaves = leaves_in(forest, side)
-    base_trace = replace(base_trace, leaves_a=leaves)
-    _require(len(leaves) >= a - b + 1, "too few leaves on side A", base_trace)
+    trace = replace(trace, leaves_a=leaves)
+    _require(len(leaves) >= a - b + 1, "too few leaves on side A", trace)
+    sorted_leaves = sorted(leaves)
     neighbor_of = {x: adjacency[x][0] for x in leaves}
     counts = {v: 0 for v in vertices_b}
     for x in leaves:
@@ -282,104 +286,53 @@ def _leaf_branches(forest, k, sizes, side, assignment, vertices_a, vertices_b):
             break
         donors.append(v)
         gained += counts[v] - 1
-    _require(gained >= need, "donor harvest cannot reach ceil(n/k)", base_trace)
+    _require(gained >= need, "donor harvest cannot reach ceil(n/k)", trace)
     donor_set = frozenset(donors)
-    base_trace = replace(base_trace, donors=donor_set)
+    trace = replace(trace, donors=donor_set)
 
-    donor_leaves = sorted(x for x in leaves if neighbor_of[x] in donor_set)
-    other_leaves = sorted(x for x in leaves if neighbor_of[x] not in donor_set)
-
+    other_leaves = [x for x in sorted_leaves if neighbor_of[x] not in donor_set]
     if len(other_leaves) + len(donors) >= floor_nk:
-        return _harvest_branch(k, sizes, side, assignment, vertices_b,
-                               donor_set, donor_leaves, other_leaves, base_trace)
-    return _pivot_branch(forest, k, sizes, side, assignment, vertices_b,
-                         donor_set, counts, neighbor_of, leaves, base_trace)
+        # S: the donors padded with the other B-vertices' leaves
+        bottom_need = floor_nk - len(donors)
+        _require(0 <= bottom_need <= len(other_leaves),
+                 "not enough non-donor leaves for the smallest class", trace)
+        bottom_fill = frozenset(other_leaves[:bottom_need])
+        trace = replace(trace, bottom_fill=bottom_fill)
+        chosen = donor_set | bottom_fill
+        pool = "donor"
+    else:
+        # S: a stable set through the pivot meeting B as little as possible
+        pivot = max(donor_set, key=lambda u: (counts[u], -u))
+        trace = replace(trace, pivot=pivot)
+        chosen = stable_set_of_size_min_b(forest, pivot, floor_nk, side)
+        _require(chosen is not None,
+                 "no stable set of size floor(n/k) through the pivot", trace)
+        if sum(not side.in_a[x] for x in chosen) == 1:  # S meets B in the pivot alone
+            trace = replace(trace, branch=BRANCH_PIVOT_SINGLE, pivot_set=chosen)
+            pool = "pivot"
+        else:
+            trace = replace(trace, branch=BRANCH_PIVOT_MULTI, pivot_set=chosen)
+            _require(
+                all(neighbor_of[x] in chosen for x in leaves if x not in chosen),
+                "a leaf outside the pivot set is not dominated by it",
+                trace,
+            )
+            pool = "free"
 
-
-def _harvest_branch(k, sizes, side, assignment, vertices_b,
-                    donor_set, donor_leaves, other_leaves, trace):
-    # Largest class: B minus donors, padded with donors' leaves.  Smallest
-    # class: donors padded with the other B-vertices' leaves.
-    b = side.b
-    floor_nk, ceil_nk = sizes[0], sizes[-1]
-    top_need = ceil_nk - (b - len(donor_set))
-    _require(0 <= top_need <= len(donor_leaves),
-             "not enough donor leaves for the largest class", trace)
-    top_fill = donor_leaves[:top_need]
-    bottom_need = floor_nk - len(donor_set)
-    _require(0 <= bottom_need <= len(other_leaves),
-             "not enough non-donor leaves for the smallest class", trace)
-    bottom_fill = other_leaves[:bottom_need]
-    trace = replace(trace, top_fill=frozenset(top_fill),
-                    bottom_fill=frozenset(bottom_fill))
-    for v in vertices_b:
-        assignment[v] = 1 if v in donor_set else k
+    rest_b = [v for v in vertices_b if v not in chosen]
+    top_pool = [x for x in sorted_leaves
+                if neighbor_of[x] in chosen and x not in chosen]
+    top_need = ceil_nk - len(rest_b)
+    _require(0 <= top_need <= len(top_pool),
+             f"not enough {pool} leaves for the largest class", trace)
+    top_fill = top_pool[:top_need]
+    trace = replace(trace, top_fill=frozenset(top_fill))
+    for x in chosen:
+        assignment[x] = 1
+    for v in rest_b:
+        assignment[v] = k
     for x in top_fill:
         assignment[x] = k
-    for x in bottom_fill:
-        assignment[x] = 1
-    return trace
-
-
-def _pivot_branch(forest, k, sizes, side, assignment, vertices_b,
-                  donor_set, counts, neighbor_of, leaves, trace):
-    a, b = side.a, side.b
-    floor_nk, ceil_nk = sizes[0], sizes[-1]
-    pivot = max(donor_set, key=lambda u: (counts[u], -u))
-    trace = replace(trace, pivot=pivot)
-    _require(
-        counts[pivot] >= a + 4 - ceil_nk - floor_nk,
-        "pivot vertex has too few leaves",
-        trace,
-    )
-    pivot_set = stable_set_of_size_min_b(forest, pivot, floor_nk, side)
-    _require(pivot_set is not None,
-             "no stable set of size floor(n/k) through the pivot", trace)
-    trace = replace(trace, pivot_set=pivot_set)
-    overlap = sorted(x for x in pivot_set if not side.in_a[x])
-
-    for x in pivot_set:
-        assignment[x] = 1
-
-    if overlap == [pivot]:
-        trace = replace(trace, branch=BRANCH_PIVOT_SINGLE)
-        pivot_leaves = sorted(
-            x for x in leaves if neighbor_of[x] == pivot and x not in pivot_set
-        )
-        top_need = ceil_nk - (b - 1)
-        _require(0 <= top_need <= len(pivot_leaves),
-                 "not enough pivot leaves for the largest class", trace)
-        top_fill = pivot_leaves[:top_need]
-        trace = replace(trace, top_fill=frozenset(top_fill))
-        for v in vertices_b:
-            if v != pivot:
-                assignment[v] = k
-        for x in top_fill:
-            assignment[x] = k
-    else:
-        trace = replace(trace, branch=BRANCH_PIVOT_MULTI)
-        _require(len(overlap) >= 2, "pivot overlap collapsed unexpectedly", trace)
-        rest_b = [v for v in vertices_b if v not in pivot_set]
-        free_leaves = [x for x in sorted(leaves) if x not in pivot_set]
-        _require(
-            all(neighbor_of[x] in pivot_set for x in free_leaves),
-            "a leaf outside the pivot set is not dominated by it",
-            trace,
-        )
-        _require(
-            len(rest_b) + len(free_leaves) >= ceil_nk,
-            "B plus leaves minus the pivot set is too small",
-            trace,
-        )
-        top_need = ceil_nk - len(rest_b)
-        _require(0 <= top_need <= len(free_leaves),
-                 "not enough free leaves for the largest class", trace)
-        top_fill = free_leaves[:top_need]
-        trace = replace(trace, top_fill=frozenset(top_fill))
-        for v in rest_b:
-            assignment[v] = k
-        for x in top_fill:
-            assignment[x] = k
     return trace
 
 

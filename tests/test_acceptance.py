@@ -11,8 +11,8 @@ import time
 import pytest
 
 from equiforest import (
+    DecisionProfile,
     construct,
-    decide,
     decide2,
     equitable_chromatic_number,
     lower_bound,
@@ -117,10 +117,11 @@ def test_criterion_3_construction_soundness(main_sweep, two_color_sweep):
         n = 1 + rng.below(200)
         c = 1 + rng.below(min(4, n))
         forest = gen_family(FamilySpec("random_forest", (n, c), seed))
+        profile = DecisionProfile(forest)
         for k in range(3, 13):
-            if not decide(forest, k).colorable:
+            if not profile.decide(k).colorable:
                 continue
-            coloring, trace = construct(forest, k)
+            coloring, trace = construct(forest, k, profile)
             constructed += 1
             if not verify(forest, coloring).ok:
                 invalid.append((seed, k))

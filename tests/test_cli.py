@@ -373,7 +373,7 @@ class TestRender:
         printed = [argv for argv in golden_commands()
                    if "--json" in argv and run_cli(argv)[1]]
         # a color command on a no-instance prints no report
-        assert len(checked) == len(printed) == 32
+        assert len(checked) == len(printed) == 35
 
     @settings(max_examples=300, deadline=None)
     @given(_VALUES)

@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -9,6 +10,7 @@ import equiforest.constructor as constructor
 import equiforest.equitable as equitable
 import reference_constructor
 from equiforest import (
+    Bipartition,
     ConstructionTrace,
     DecisionProfile,
     Forest,
@@ -309,6 +311,64 @@ class TestSplitBranchFailures:
         assert outcomes[0] == outcomes[1]
         assert outcomes[0] == (message, ConstructionTrace(
             branch=BRANCH_SPLIT, split_index=2, donors=frozenset({0})))
+
+
+class TestLeafBranchFailures:
+    """Each feasibility check of the leaf branches, tripped alone by a
+    crafted call, since no valid input reaches them: the same message as
+    the reference's leaf branches, and the same partial trace.
+
+    Crafted class sizes trip most checks.  Two need more: only a side
+    that is no proper bipartition has too few A-leaves, and only a
+    pivot set that is not the kernel's least-overlap set leaves an
+    A-leaf undominated (swapping that leaf for a non-pivot B-vertex
+    would lower the overlap).  Where the reference ran a check that is
+    gone, ``reference_message`` names it; ``moved`` lists the fields a
+    partial trace now carries that the reference's did not."""
+
+    @pytest.mark.parametrize(
+        "forest,flags,sizes,kernel,message,reference_message,moved", [
+            ((2, []), None, (0, 0, 0), None,
+             "side A has an isolated vertex despite the bipartition choice", None, {}),
+            # the edge 0-1 lies inside A: two leaves for a - b + 1 = 3
+            ((2, [(0, 1)]), (1, 1), (0, 0, 0), None,
+             "too few leaves on side A", None, {}),
+            ((2, [(0, 1)]), None, (0, 0, 2), None,
+             "donor harvest cannot reach ceil(n/k)", None, {}),
+            ((3, [(0, 1), (0, 2)]), None, (0, 0, 2), None,
+             "not enough non-donor leaves for the smallest class", None, {}),
+            # the smallest class is placed first, so its fill rides along
+            ((5, [(0, 1), (1, 2), (2, 3), (3, 4)]), None, (1, 1, 1), None,
+             "not enough donor leaves for the largest class", None,
+             {"bottom_fill": frozenset({0})}),
+            ((3, [(0, 1), (0, 2)]), None, (2, 2, 2), None,
+             "no stable set of size floor(n/k) through the pivot", None, {}),
+            ((6, [(0, 1), (1, 2), (3, 4), (4, 5)]), None, (3, 3, 4), None,
+             "not enough pivot leaves for the largest class", None, {}),
+            ((6, [(0, 1), (0, 2), (4, 5)]), None, (3, 3, 4), frozenset({0, 3}),
+             "a leaf outside the pivot set is not dominated by it", None, {}),
+            # the reference's size check tested the same inequality first
+            ((4, [(0, 1), (0, 2)]), None, (2, 2, 3), None,
+             "not enough free leaves for the largest class",
+             "B plus leaves minus the pivot set is too small", {}),
+        ])
+    def test_same_error_and_trace(self, monkeypatch, forest, flags, sizes, kernel,
+                                  message, reference_message, moved):
+        f = Forest.from_edges(*forest)
+        side = select_bipartition(f) if flags is None else Bipartition.from_flags(flags)
+        outcomes = []
+        for module in (constructor, reference_constructor):
+            if kernel is not None:
+                monkeypatch.setattr(module, "stable_set_of_size_min_b",
+                                    lambda *args: kernel)
+            with pytest.raises(ProofStepError) as failure:
+                module._leaf_branches(f, len(sizes), sizes, side, [0] * f.n,
+                                      sorted(side.side_a()), sorted(side.side_b()))
+            outcomes.append((str(failure.value), failure.value.trace))
+        (got, trace), (want, reference_trace) = outcomes
+        assert got == message
+        assert want == (reference_message or message)
+        assert trace == replace(reference_trace, **moved)
 
 
 class TestLeafBranchesInBulk:

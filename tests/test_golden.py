@@ -52,6 +52,10 @@ def golden_commands() -> list[tuple[str, ...]]:
     commands.append(("color", "--k", "2", "family:path:0") + _JSON)
     commands.append(("color", "--k", "3", "family:path:0") + _JSON)
     commands.append(("table", "path:0..4") + _JSON)
+    # the harvest branch at k = 3 and k = 4, and the pivot-multi branch
+    commands.append(("color", "--k", "3", "family:caterpillar:4,3,0,3,0") + _JSON)
+    commands.append(("color", "--k", "4", "family:caterpillar:8,3,0,3,0,3,0,3,0") + _JSON)
+    commands.append(("color", "--k", "3", "family:caterpillar:3,2,1,6") + _JSON)
     return commands
 
 
@@ -81,7 +85,7 @@ def record() -> None:
 
 def test_names_are_distinct():
     names = [golden_name(argv) for argv in golden_commands()]
-    assert len(set(names)) == len(names) == 38
+    assert len(set(names)) == len(names) == 41
 
 
 @pytest.mark.parametrize("argv", golden_commands(), ids=golden_name)
