@@ -205,8 +205,7 @@ def construct(forest: Forest, k: int, profile: DecisionProfile | None = None
                               vertices_a, vertices_b)
         classes_b, classes_a = range(1, j), range(j + 1, k + 1)
     else:
-        trace = _leaf_branches(forest, k, sizes, side, assignment,
-                               vertices_a, vertices_b)
+        trace = _leaf_branches(forest, k, sizes, side, assignment, vertices_b)
         classes_b, classes_a = (), range(2, k)
     _chunk(assignment, vertices_b, classes_b, sizes, trace)
     _chunk(assignment, vertices_a, classes_a, sizes, trace)
@@ -255,23 +254,19 @@ def _split_branch(forest, sizes, side, j, prefix_j, assignment,
     return trace
 
 
-def _leaf_branches(forest, k, sizes, side, assignment, vertices_a, vertices_b):
+def _leaf_branches(forest, k, sizes, side, assignment, vertices_b):
     # b < floor(n/k): B alone cannot fill the smallest class prefix, so
     # classes are assembled from B plus leaves on side A.  Class 1 is a
     # stable set S of floor(n/k) vertices; class k is B minus S, topped up
     # with the A-leaves whose neighbor lies in S.
-    a, b = side.a, side.b
+    b = side.b
     floor_nk, ceil_nk = sizes[0], sizes[-1]
     adjacency = forest.adjacency
-    trace = ConstructionTrace(branch=BRANCH_HARVEST, split_index=1)
-    _require(
-        all(adjacency[v] for v in vertices_a),
-        "side A has an isolated vertex despite the bipartition choice",
-        trace,
-    )
+    # b < floor(n/k) <= floor(n/2) means select_bipartition put every
+    # singleton on B, so each A-vertex has a neighbour and A holds at
+    # least a - b + 1 leaves
     leaves = leaves_in(forest, side)
-    trace = replace(trace, leaves_a=leaves)
-    _require(len(leaves) >= a - b + 1, "too few leaves on side A", trace)
+    trace = ConstructionTrace(branch=BRANCH_HARVEST, split_index=1, leaves_a=leaves)
     sorted_leaves = sorted(leaves)
     neighbor_of = {x: adjacency[x][0] for x in leaves}
     counts = {v: 0 for v in vertices_b}

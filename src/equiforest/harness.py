@@ -146,13 +146,17 @@ def check_equiv(max_n: int = 64) -> SuiteReport:
 
 def _construct_and_verify(report: SuiteReport, forest: Forest, k: int,
                           profile: DecisionProfile) -> None:
-    """Construct a yes-instance and verify the coloring; a failed step or
-    an invalid coloring is recorded as a counterexample."""
+    """Construct a yes-instance; a failed step or an invalid coloring is
+    recorded as a counterexample.  construct verifies every k >= 3
+    coloring itself, raising ProofStepError, so only k = 2 is verified
+    here."""
     try:
         coloring, _ = construct(forest, k, profile)
     except ProofStepError as exc:
         report.counterexamples.append(
             _payload(forest, f"construction step failed: {exc}", k))
+        return
+    if k != 2:
         return
     outcome = verify(forest, coloring)
     if not outcome.ok:

@@ -2,47 +2,24 @@
 the coloring-number lower bound they induce, and a size-constrained
 stable-set search that minimizes overlap with one bipartition side.
 
-Each stability number is a take/skip pass over the rooting the forest
-stored when it was built (``Forest.order``/``.parent``): one number per
-vertex and state, x forced in for alpha_x, plus one rerooting pass for
-every alpha_x at once.  Only the minimum-overlap search roots again, at
-the pivot (``_rooted``): short tables indexed by a cap on the B-vertices
-used, the cap doubled until it suffices, in O(n*t*) for the least
-overlap t*.  All passes are iterative, so deep trees cannot hit
-recursion limits, and exact.
+Every pass is a take/skip pass over the rooting the forest stored when
+it was built (``Forest.order``/``.parent``), a vertex forced in by a
+-n - 1 entry in its skip table: one number per vertex and state, x
+forced in for alpha_x, plus one rerooting pass for every alpha_x at
+once.  The minimum-overlap search runs the same pass, the pivot forced
+in, over short tables indexed by a cap on the B-vertices used, the cap
+doubled until it suffices, in O(n*t*) for the least overlap t*.  All
+passes are iterative, so deep trees cannot hit recursion limits, and
+exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import nlargest
-from itertools import chain, compress
+from itertools import compress
 
 from .forest import Bipartition, Forest, max_degree_vertices
-
-
-def _rooted(adjacency, v: int):
-    """Root v's component at v, walked first, and every other at its
-    smallest id.  Returns (order, parent): every vertex after its parent
-    (roots have parent -1), each component contiguous."""
-    n = len(adjacency)
-    parent = [-1] * n
-    seen = bytearray(n)
-    order: list[int] = []
-    for root in chain((v,), range(n)):
-        if seen[root]:
-            continue
-        seen[root] = 1
-        stack = [root]
-        while stack:
-            u = stack.pop()
-            order.append(u)
-            for w in adjacency[u]:
-                if not seen[w]:
-                    seen[w] = 1
-                    parent[w] = u
-                    stack.append(w)
-    return order, parent
 
 
 def _take_skip(forest: Forest, forced: int | None = None):
@@ -205,9 +182,11 @@ def major_vertex_check(forest: Forest) -> MajorVertexReport:
 
 
 def _max_plus(a: list[int], b: list[int], length: int) -> list[int]:
-    """Max-plus product of two B-capped tables (entries >= 0, a short
-    table repeating its last entry), cut to `length` entries."""
-    out = [0] * min(length, len(a) + len(b) - 1)
+    """Max-plus product of two B-capped tables (a short table repeating
+    its last entry), cut to `length` entries.  Each entry starts from
+    a[0] + b[0], which every split reaches, so negative entries stay
+    exact."""
+    out = [a[0] + b[0]] * min(length, len(a) + len(b) - 1)
     for i, x in enumerate(a):
         for j, y in enumerate(b[:len(out) - i], i):
             if x + y > out[j]:
@@ -215,33 +194,36 @@ def _max_plus(a: list[int], b: list[int], length: int) -> list[int]:
     return out
 
 
-def _capped_tables(adjacency, order, parent, in_a, v, cap):
-    """The take/skip pass with B-capped tables: entry t <= cap is the
-    largest stable set using at most t B-vertices (-1: none); a table ends
-    where its subtree runs out of them.  Returns per vertex the tables
-    without it and with it free, and the forest's table with v taken."""
-    skip: list[list[int]] = [[]] * len(adjacency)
-    best: list[list[int]] = [[]] * len(adjacency)
-    rest = [0]  # the other components, walked before v's
-    for u in reversed(order):
+def _capped_tables(forest: Forest, in_a, v: int, cap: int):
+    """The take/skip pass with B-capped tables over the stored rooting,
+    v forced in as in ``_take_skip``: entry t <= cap is the largest
+    stable set holding v that uses at most t B-vertices, and negative
+    when there is none (skip[v] and a B-vertex's entry at t = 0 are
+    -n - 1).  A table ends where its subtree runs out of B-vertices.
+    Returns per vertex the tables without it and with it free, and the
+    forest's table: the product of the component roots' tables."""
+    n, adjacency, parent = forest.n, forest.adjacency, forest.parent
+    none = -n - 1
+    skip: list[list[int]] = [[]] * n
+    best: list[list[int]] = [[]] * n
+    whole = [0]
+    for u in reversed(forest.order):
         p = parent[u]
         below_out = below_free = [0]
         for w in adjacency[u]:
             if w != p:
                 below_out = _max_plus(below_out, skip[w], cap + 1)
                 below_free = _max_plus(below_free, best[w], cap + 1)
-        if u == v:
-            below_out = _max_plus(below_out, rest, cap + 1)
         if in_a[u]:
             take = [x + 1 for x in below_out]
         else:
-            take = [-1] + [x + 1 for x in below_out[:cap]]
+            take = [none] + [x + 1 for x in below_out[:cap]]
             below_free += below_free[-1:] * (len(take) - len(below_free))
-        skip[u] = below_free
-        best[u] = list(map(max, take, below_free))
-        if p < 0 and u != v:
-            rest = _max_plus(rest, best[u], cap + 1)
-    return skip, best, take
+        skip[u] = below_free if u != v else [none] * len(below_free)
+        best[u] = list(map(max, take, skip[u]))
+        if p < 0:
+            whole = _max_plus(whole, best[u], cap + 1)
+    return skip, best, whole
 
 
 def _split(kids, tables: list[list[int]], t: int, length: int):
@@ -266,14 +248,16 @@ def stable_set_of_size_min_b(
     """A stable set of exactly `size` vertices containing v that minimizes
     overlap with side B, or None when v lies in no stable set that large.
 
-    The take/skip pass over B-capped tables runs with the cap T = 1, 2,
-    4, ... until the whole forest reaches `size` at T or T >= b; a pass
-    costs O(n*T), the search O(n*t*) for the least overlap t*.  The walk
-    down the tables at t* splits each budget over the children from the
-    last (in adjacency order) back, each taking the least budget that
-    keeps the optimum, and takes a free vertex only when that is strictly
-    larger.  That set has t* B-vertices and at least `size` vertices; its
-    highest-id A-vertices other than v are dropped down to `size`.
+    The take/skip pass over B-capped tables, on the stored rooting with v
+    forced in, runs with the cap T = 1, 2, 4, ... until the whole forest
+    reaches `size` at T or T >= b; a pass costs O(n*T), the search
+    O(n*t*) for the least overlap t*.  The walk down the tables at t*
+    splits the budget over the component roots, then each budget over
+    the children, from the last (in id or adjacency order) back, each
+    taking the least budget that keeps the optimum, and takes a free
+    vertex only when that is strictly larger.  That set has t*
+    B-vertices and at least `size` vertices; its highest-id A-vertices
+    other than v are dropped down to `size`.
     """
     if not 0 <= v < forest.n:
         raise ValueError(f"vertex {v} out of range")
@@ -281,19 +265,19 @@ def stable_set_of_size_min_b(
         raise ValueError("size must be >= 1")
     if size > forest.n:
         return None
-    adjacency, in_a = forest.adjacency, side.in_a
-    order, parent = _rooted(adjacency, v)
+    adjacency, parent, in_a = forest.adjacency, forest.parent, side.in_a
     cap = 1
-    skip, best, whole = _capped_tables(adjacency, order, parent, in_a, v, cap)
+    skip, best, whole = _capped_tables(forest, in_a, v, cap)
     while whole[-1] < size and cap < side.b:
         cap *= 2
-        skip, best, whole = _capped_tables(adjacency, order, parent, in_a, v, cap)
+        skip, best, whole = _capped_tables(forest, in_a, v, cap)
     t = next((t for t, x in enumerate(whole) if x >= size), None)
     if t is None:
         return None
-    others = [u for u in order if parent[u] < 0 and u != v]
+    roots = [u for u, p in enumerate(parent) if p < 0]
     chosen: list[int] = []
-    stack = [(v, t, True)]
+    stack = [(r, s, best[r][s] > skip[r][s])
+             for r, s in _split(roots, [best[r] for r in roots], t, cap + 1)]
     while stack:
         u, t, taken = stack.pop()
         kids = [w for w in adjacency[u] if w != parent[u]]
@@ -301,12 +285,8 @@ def stable_set_of_size_min_b(
             chosen.append(u)
             t -= not in_a[u]
         tables = [(skip if taken else best)[w] for w in kids]
-        if u == v:
-            kids += others
-            tables += [best[r] for r in others]
         for w, s in _split(kids, tables, t, cap + 1):
-            free = not taken or parent[w] < 0
-            stack.append((w, s, free and best[w][s] > skip[w][s]))
+            stack.append((w, s, not taken and best[w][s] > skip[w][s]))
     result = frozenset(chosen)
     result = result.difference(
         nlargest(len(result) - size, (u for u in result if in_a[u] and u != v))

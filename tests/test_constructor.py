@@ -1,5 +1,6 @@
 """The constructive colorer: every branch, the verifier, and realize2."""
 
+import itertools
 import random
 from collections import Counter
 from dataclasses import replace
@@ -169,13 +170,25 @@ class TestBranchCoverage:
         assert is_stable(f, trace.pivot_set)
 
     def test_case2_preconditions_hold(self):
-        # structural facts the leaf branches rely on, checked externally
-        for params in ((5, 3, 0, 3, 0, 3), (5, 5, 0, 1, 0, 1)):
-            f = gen_family(FamilySpec("caterpillar", params))
+        # what the leaf branches take from select_bipartition when
+        # b < floor(n/k) <= floor(n/3): a proper bipartition, no isolated
+        # A-vertex (every singleton went to B, since the sides' greedy had
+        # room left), and so at least a - b + 1 A-leaves
+        swept = itertools.chain(
+            (gen_family(FamilySpec("caterpillar", params))
+             for params in ((5, 3, 0, 3, 0, 3), (5, 5, 0, 1, 0, 1))),
+            (f for n in range(1, 8) for f in all_labeled_forests(n)),
+            map(leaf_heavy_forest, range(20_000)),
+        )
+        checked = 0
+        for f in swept:
             side = select_bipartition(f)
+            side.check(f)
             if side.b < f.n // 3:
-                assert all(f.degree(v) > 0 for v in side.side_a())
-                assert len(leaves_in(f, side)) >= side.a - side.b + 1
+                assert all(f.degree(v) > 0 for v in side.side_a()), f
+                assert len(leaves_in(f, side)) >= side.a - side.b + 1, f
+                checked += 1
+        assert checked == 2 + 12_887
 
 
 class TestConstructSweeps:
@@ -313,45 +326,55 @@ class TestSplitBranchFailures:
             branch=BRANCH_SPLIT, split_index=2, donors=frozenset({0})))
 
 
+def _numbered_from(first, names, rows):
+    """pytest.param rows carrying pytest's own ids, numbered from `first`,
+    so that rows keep their ids when rows before them are dropped."""
+    return [
+        pytest.param(*row, id="-".join(
+            value if isinstance(value, str) else
+            "None" if value is None else f"{name}{i}"
+            for name, value in zip(names.split(","), row)))
+        for i, row in enumerate(rows, first)
+    ]
+
+
 class TestLeafBranchFailures:
     """Each feasibility check of the leaf branches, tripped alone by a
     crafted call, since no valid input reaches them: the same message as
     the reference's leaf branches, and the same partial trace.
 
-    Crafted class sizes trip most checks.  Two need more: only a side
-    that is no proper bipartition has too few A-leaves, and only a
-    pivot set that is not the kernel's least-overlap set leaves an
-    A-leaf undominated (swapping that leaf for a non-pivot B-vertex
-    would lower the overlap).  Where the reference ran a check that is
-    gone, ``reference_message`` names it; ``moved`` lists the fields a
-    partial trace now carries that the reference's did not."""
+    Crafted class sizes trip most checks.  Only a pivot set that is not
+    the kernel's least-overlap set leaves an A-leaf undominated
+    (swapping that leaf for a non-pivot B-vertex would lower the
+    overlap).  Where the reference ran a check that is gone,
+    ``reference_message`` names it; ``moved`` lists the fields a partial
+    trace now carries that the reference's did not.  The reference's
+    isolated-A-vertex and A-leaf-count checks only restate
+    ``select_bipartition``'s contract, which
+    ``TestBranchCoverage.test_case2_preconditions_hold`` checks directly."""
 
-    @pytest.mark.parametrize(
-        "forest,flags,sizes,kernel,message,reference_message,moved", [
-            ((2, []), None, (0, 0, 0), None,
-             "side A has an isolated vertex despite the bipartition choice", None, {}),
-            # the edge 0-1 lies inside A: two leaves for a - b + 1 = 3
-            ((2, [(0, 1)]), (1, 1), (0, 0, 0), None,
-             "too few leaves on side A", None, {}),
-            ((2, [(0, 1)]), None, (0, 0, 2), None,
-             "donor harvest cannot reach ceil(n/k)", None, {}),
-            ((3, [(0, 1), (0, 2)]), None, (0, 0, 2), None,
-             "not enough non-donor leaves for the smallest class", None, {}),
-            # the smallest class is placed first, so its fill rides along
-            ((5, [(0, 1), (1, 2), (2, 3), (3, 4)]), None, (1, 1, 1), None,
-             "not enough donor leaves for the largest class", None,
-             {"bottom_fill": frozenset({0})}),
-            ((3, [(0, 1), (0, 2)]), None, (2, 2, 2), None,
-             "no stable set of size floor(n/k) through the pivot", None, {}),
-            ((6, [(0, 1), (1, 2), (3, 4), (4, 5)]), None, (3, 3, 4), None,
-             "not enough pivot leaves for the largest class", None, {}),
-            ((6, [(0, 1), (0, 2), (4, 5)]), None, (3, 3, 4), frozenset({0, 3}),
-             "a leaf outside the pivot set is not dominated by it", None, {}),
-            # the reference's size check tested the same inequality first
-            ((4, [(0, 1), (0, 2)]), None, (2, 2, 3), None,
-             "not enough free leaves for the largest class",
-             "B plus leaves minus the pivot set is too small", {}),
-        ])
+    NAMES = "forest,flags,sizes,kernel,message,reference_message,moved"
+
+    @pytest.mark.parametrize(NAMES, _numbered_from(2, NAMES, [
+        ((2, [(0, 1)]), None, (0, 0, 2), None,
+         "donor harvest cannot reach ceil(n/k)", None, {}),
+        ((3, [(0, 1), (0, 2)]), None, (0, 0, 2), None,
+         "not enough non-donor leaves for the smallest class", None, {}),
+        # the smallest class is placed first, so its fill rides along
+        ((5, [(0, 1), (1, 2), (2, 3), (3, 4)]), None, (1, 1, 1), None,
+         "not enough donor leaves for the largest class", None,
+         {"bottom_fill": frozenset({0})}),
+        ((3, [(0, 1), (0, 2)]), None, (2, 2, 2), None,
+         "no stable set of size floor(n/k) through the pivot", None, {}),
+        ((6, [(0, 1), (1, 2), (3, 4), (4, 5)]), None, (3, 3, 4), None,
+         "not enough pivot leaves for the largest class", None, {}),
+        ((6, [(0, 1), (0, 2), (4, 5)]), None, (3, 3, 4), frozenset({0, 3}),
+         "a leaf outside the pivot set is not dominated by it", None, {}),
+        # the reference's size check tested the same inequality first
+        ((4, [(0, 1), (0, 2)]), None, (2, 2, 3), None,
+         "not enough free leaves for the largest class",
+         "B plus leaves minus the pivot set is too small", {}),
+    ]))
     def test_same_error_and_trace(self, monkeypatch, forest, flags, sizes, kernel,
                                   message, reference_message, moved):
         f = Forest.from_edges(*forest)
@@ -361,9 +384,11 @@ class TestLeafBranchFailures:
             if kernel is not None:
                 monkeypatch.setattr(module, "stable_set_of_size_min_b",
                                     lambda *args: kernel)
+            # the reference also takes the A-vertices, for its isolated-vertex check
+            extra = () if module is constructor else (sorted(side.side_a()),)
             with pytest.raises(ProofStepError) as failure:
-                module._leaf_branches(f, len(sizes), sizes, side, [0] * f.n,
-                                      sorted(side.side_a()), sorted(side.side_b()))
+                module._leaf_branches(f, len(sizes), sizes, side, [0] * f.n, *extra,
+                                      sorted(side.side_b()))
             outcomes.append((str(failure.value), failure.value.trace))
         (got, trace), (want, reference_trace) = outcomes
         assert got == message

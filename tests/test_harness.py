@@ -151,6 +151,34 @@ class TestSuites:
         assert entry["detail"] == "construction step failed: synthetic step failure"
         assert parse_forest(entry["edges"]).n == entry["n"] == 3  # replayable
 
+    def test_main_verifies_each_coloring_once(self, monkeypatch):
+        # construct verifies its k >= 3 colorings itself; the harness
+        # verifies only the k = 2 realizations
+        calls = {"construct": 0, "verify": 0}
+
+        def counting(name, original):
+            def wrapped(*args):
+                calls[name] += 1
+                return original(*args)
+            return wrapped
+
+        monkeypatch.setattr(harness, "construct", counting("construct", constructor.construct))
+        verify = counting("verify", constructor.verify)
+        monkeypatch.setattr(harness, "verify", verify)
+        monkeypatch.setattr(constructor, "verify", verify)
+        report = check_main(5, construct_yes=True)
+        assert report.ok
+        assert calls["construct"] > 0 and calls["verify"] == calls["construct"], calls
+
+    def test_main_records_invalid_two_coloring(self, monkeypatch):
+        def monochrome(forest, k, profile=None):
+            return constructor.EquitableColoring(k, (1,) * forest.n), None
+
+        monkeypatch.setattr(harness, "construct", monochrome)
+        report = check_main(3, construct_yes=True)
+        assert [entry["k"] for entry in report.counterexamples] == [2] * 3
+        assert report.counterexamples[0]["detail"].startswith("construction invalid: ")
+
     def test_main_range_guard(self):
         with pytest.raises(ValueError):
             check_main(9)

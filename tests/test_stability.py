@@ -19,7 +19,6 @@ from equiforest import (
     stable_set_of_size_min_b,
 )
 from equiforest.generators import FamilySpec, gen_family
-from equiforest.stability import _rooted
 
 from conftest import (
     all_labeled_forests,
@@ -34,7 +33,6 @@ from reference_stability import (
     reference_lower_bound,
     reference_major_vertex_check,
     reference_max_stable_set,
-    reference_rooted,
 )
 from reference_pivot import reference_stable_set_of_size_min_b
 
@@ -297,14 +295,6 @@ class TestPivotKernelAgainstReference:
                         self.check(f, v, size, side)
                         checked += 1
         assert checked == 113_507
-
-    def test_pivot_rooting_matches_reference_walk(self):
-        # the pivot kernel's walk, rooted at v; test_forest.py checks
-        # the reference's default roots against the stored rooting
-        for n in range(8):
-            for f in all_labeled_forests(n):
-                for v in range(n):
-                    assert _rooted(f.adjacency, v) == reference_rooted(f.adjacency, v), (f, v)
 
     def test_leaf_heavy_forests_at_b_vertices(self):
         # pivot-sized requests at every B-vertex; at least one needs an
