@@ -15,11 +15,14 @@ Suites (addressable from the CLI as ``--which`` codes):
 * ``equiv`` - the integer identity k >= ceil((n+1)/(a+1)) <=>
   a >= floor(n/k), exhaustive over 1 <= a <= n <= max_n, 1 <= k <= n.
 
-Levels with n <= 8 walk every labeled tree, in Prufer-word order.  The
-lemma, bg, cl2 and cl3 properties do not depend on vertex labels, so
-their levels n >= 9 walk one tree per isomorphism class instead
+Every tree suite walks its trees through one generator, ``_trees``:
+levels with n <= 8 walk every labeled tree, in Prufer-word order, and
+levels n >= 9 walk one tree per isomorphism class
 (``oracle.unlabeled_trees``: 47 at n = 9, 3,159 at n = 14), which covers
-every tree of that order.
+every tree of that order because the lemma, bg, cl2 and cl3 properties
+do not depend on vertex labels; each class level adds a coverage note to
+the report.  Each suite's accepted max_n range, and the first order it
+sweeps, come from one table, ``_RANGES``.
 
 Sharding splits each level's index space (Prufer words, or the fixed
 class order) into contiguous ranges; report merging is a plain fold, so
@@ -41,8 +44,11 @@ from .oracle import (
 )
 from .stability import alpha_profile, major_vertex_check
 
-SUITES = ("main", "lemma", "bg", "cl2", "cl3", "equiv")
-SUITE_MAX_N = {"main": 8, "lemma": 14, "bg": 14, "cl2": 14, "cl3": 14, "equiv": 64}
+# suite: (least max_n, cap, first order swept)
+_RANGES = {"main": (3, 8, 3), "lemma": (1, 14, 1), "bg": (1, 14, 2),
+           "cl2": (2, 14, 2), "cl3": (2, 14, 2), "equiv": (1, 64, 1)}
+SUITES = tuple(_RANGES)
+SUITE_MAX_N = {suite: cap for suite, (_, cap, _) in _RANGES.items()}
 _LABELED_SWEEP_MAX = 8
 
 
@@ -87,6 +93,13 @@ def _payload(forest: Forest, detail: str, k: int | None = None) -> dict:
     return entry
 
 
+def _report(suite: str, max_n: int) -> SuiteReport:
+    least, cap, _ = _RANGES[suite]
+    if not least <= max_n <= cap:
+        raise ValueError(f"{suite} supports max_n in {least}..{cap}")
+    return SuiteReport(suite=suite, max_n=max_n)
+
+
 def _check_shards(shards: int, shard_index: int) -> None:
     if shards < 1 or not 0 <= shard_index < shards:
         raise ValueError("need shards >= 1 and 0 <= shard_index < shards")
@@ -99,38 +112,39 @@ def _shard_range(total: int, shards: int, shard_index: int) -> tuple[int, int]:
     return lo, min(lo + step, total)
 
 
-def _sweep(report: SuiteReport, max_n: int, shards: int, shard_index: int,
-           tree_check, min_n: int = 2) -> SuiteReport:
-    """Run tree_check over every tree with min_n <= n <= max_n.
-
-    tree_check(forest) returns a counterexample payload or None.  Levels
-    up to _LABELED_SWEEP_MAX walk the labeled trees; larger levels walk
-    one tree per isomorphism class and note how many they covered.
-    """
-    for n in range(min_n, max_n + 1):
+def _trees(report: SuiteReport, shards: int, shard_index: int):
+    """This shard's trees of every order from the suite's first up to
+    report.max_n.  Levels up to _LABELED_SWEEP_MAX walk the labeled trees;
+    larger levels walk one tree per isomorphism class and note in the
+    report how many they covered."""
+    for n in range(_RANGES[report.suite][2], report.max_n + 1):
         if n <= _LABELED_SWEEP_MAX:
             lo, hi = _shard_range(num_labeled_trees(n), shards, shard_index)
-            trees = labeled_trees_in_range(n, lo, hi)
+            yield from labeled_trees_in_range(n, lo, hi)
         else:
             classes = list(unlabeled_trees(n))
             lo, hi = _shard_range(len(classes), shards, shard_index)
-            trees = classes[lo:hi]
             report.notes.append(
                 f"n={n}: {hi - lo} of {len(classes)} isomorphism classes checked"
             )
-        for forest in trees:
-            bad = tree_check(forest)
-            if bad is not None:
-                report.counterexamples.append(bad)
-            report.checked += 1
+            yield from classes[lo:hi]
+
+
+def _sweep(suite: str, max_n: int, shards: int, shard_index: int,
+           tree_check) -> SuiteReport:
+    """Run tree_check (a counterexample payload or None) on each tree."""
+    report = _report(suite, max_n)
+    for forest in _trees(report, shards, shard_index):
+        bad = tree_check(forest)
+        if bad is not None:
+            report.counterexamples.append(bad)
+        report.checked += 1
     return report
 
 
 def check_equiv(max_n: int = 64) -> SuiteReport:
     """Exhaustive integer check of the two criterion forms' equivalence."""
-    if not 1 <= max_n <= SUITE_MAX_N["equiv"]:
-        raise ValueError(f"equiv supports max_n in 1..{SUITE_MAX_N['equiv']}")
-    report = SuiteReport(suite="equiv", max_n=max_n)
+    report = _report("equiv", max_n)
     for n in range(1, max_n + 1):
         for a in range(1, n + 1):
             ge_form = (n + a + 1) // (a + 1)  # ceil((n+1)/(a+1))
@@ -167,7 +181,8 @@ def _construct_and_verify(report: SuiteReport, forest: Forest, k: int,
 def check_main(max_n: int = 8, shards: int = 1, shard_index: int = 0,
                construct_yes: bool = False) -> SuiteReport:
     """decide vs. oracle for every labeled tree n <= max_n and k in 3..n;
-    the same sweep compares decide2 against the oracle at k = 2.
+    the same sweep compares decide2 against the oracle at k = 2, and
+    counts a 2-colorable tree that is not 3-colorable as a counterexample.
 
     With construct_yes=True every yes-instance, k = 2 ones included, is
     also constructed and verified; a failed construction step counts as
@@ -176,37 +191,36 @@ def check_main(max_n: int = 8, shards: int = 1, shard_index: int = 0,
     constructed through one DecisionProfile, so its alpha_x and its
     bipartition are computed once for all k.
     """
-    if not 3 <= max_n <= SUITE_MAX_N["main"]:
-        raise ValueError(f"main supports max_n in 3..{SUITE_MAX_N['main']}")
-    report = SuiteReport(suite="main", max_n=max_n)
+    report = _report("main", max_n)
     two_color_gap = 0
     two_color_pairs = 0
-    for n in range(3, max_n + 1):
-        total = num_labeled_trees(n)
-        lo, hi = _shard_range(total, shards, shard_index)
-        for forest in labeled_trees_in_range(n, lo, hi):
-            profile = DecisionProfile(forest)
-            colorable2 = profile.decide(2).colorable
-            two_color_pairs += 1
-            if colorable2 != oracle_exists(forest, 2):
+    for forest in _trees(report, shards, shard_index):
+        profile = DecisionProfile(forest)
+        colorable2 = profile.decide(2).colorable
+        two_color_pairs += 1
+        if colorable2 != oracle_exists(forest, 2):
+            report.counterexamples.append(
+                _payload(forest, f"decide2={colorable2} oracle2 disagrees", 2)
+            )
+        elif colorable2 and construct_yes:
+            _construct_and_verify(report, forest, 2, profile)
+        for k in range(3, forest.n + 1):
+            verdict = profile.decide(k).colorable
+            truth = oracle_exists(forest, k)
+            report.checked += 1
+            if verdict != truth:
                 report.counterexamples.append(
-                    _payload(forest, f"decide2={colorable2} oracle2 disagrees", 2)
+                    _payload(forest, f"decide={verdict} oracle={truth}", k)
                 )
-            elif colorable2 and construct_yes:
-                _construct_and_verify(report, forest, 2, profile)
-            for k in range(3, n + 1):
-                verdict = profile.decide(k).colorable
-                truth = oracle_exists(forest, k)
-                report.checked += 1
-                if verdict != truth:
-                    report.counterexamples.append(
-                        _payload(forest, f"decide={verdict} oracle={truth}", k)
-                    )
-                    continue
-                if k == 3 and colorable2 and not verdict:
-                    two_color_gap += 1
-                if construct_yes and verdict:
-                    _construct_and_verify(report, forest, k, profile)
+                continue
+            if k == 3 and colorable2 and not verdict:
+                # the classes of an equitable 2-coloring give every x
+                # alpha_x >= floor(n/2), so the k = 3 criterion holds
+                two_color_gap += 1
+                report.counterexamples.append(
+                    _payload(forest, "2-colorable but not 3-colorable", 3))
+            if construct_yes and verdict:
+                _construct_and_verify(report, forest, k, profile)
     report.notes.append(f"k=2 decisions compared with the oracle: {two_color_pairs}")
     report.notes.append(
         f"2-colorable-but-not-3-colorable trees observed: {two_color_gap}"
@@ -227,10 +241,7 @@ def _lemma_check(forest: Forest) -> dict | None:
 
 def check_lemma(max_n: int = 14, shards: int = 1, shard_index: int = 0) -> SuiteReport:
     """Unique-major-vertex property over all trees n <= max_n."""
-    if not 1 <= max_n <= SUITE_MAX_N["lemma"]:
-        raise ValueError(f"lemma supports max_n in 1..{SUITE_MAX_N['lemma']}")
-    report = SuiteReport(suite="lemma", max_n=max_n)
-    return _sweep(report, max_n, shards, shard_index, _lemma_check, min_n=1)
+    return _sweep("lemma", max_n, shards, shard_index, _lemma_check)
 
 
 def _bg_check(forest: Forest) -> dict | None:
@@ -244,10 +255,7 @@ def _bg_check(forest: Forest) -> dict | None:
 
 def check_bg(max_n: int = 14, shards: int = 1, shard_index: int = 0) -> SuiteReport:
     """Order-vs-max-degree sufficient condition for 3-colorability."""
-    if not 1 <= max_n <= SUITE_MAX_N["bg"]:
-        raise ValueError(f"bg supports max_n in 1..{SUITE_MAX_N['bg']}")
-    report = SuiteReport(suite="bg", max_n=max_n)
-    return _sweep(report, max_n, shards, shard_index, _bg_check)
+    return _sweep("bg", max_n, shards, shard_index, _bg_check)
 
 
 def _cl2_check(forest: Forest) -> dict | None:
@@ -265,10 +273,7 @@ def _cl2_check(forest: Forest) -> dict | None:
 
 def check_cl2(max_n: int = 14, shards: int = 1, shard_index: int = 0) -> SuiteReport:
     """Balanced-bipartition trees are k-colorable for every k >= 2."""
-    if not 2 <= max_n <= SUITE_MAX_N["cl2"]:
-        raise ValueError(f"cl2 supports max_n in 2..{SUITE_MAX_N['cl2']}")
-    report = SuiteReport(suite="cl2", max_n=max_n)
-    return _sweep(report, max_n, shards, shard_index, _cl2_check)
+    return _sweep("cl2", max_n, shards, shard_index, _cl2_check)
 
 
 def _cl3_check(forest: Forest) -> dict | None:
@@ -297,35 +302,30 @@ def _cl3_check(forest: Forest) -> dict | None:
 
 def check_cl3(max_n: int = 14, shards: int = 1, shard_index: int = 0) -> SuiteReport:
     """Unbalanced trees: colorable exactly from the max-degree threshold."""
-    if not 2 <= max_n <= SUITE_MAX_N["cl3"]:
-        raise ValueError(f"cl3 supports max_n in 2..{SUITE_MAX_N['cl3']}")
-    report = SuiteReport(suite="cl3", max_n=max_n)
-    return _sweep(report, max_n, shards, shard_index, _cl3_check)
+    return _sweep("cl3", max_n, shards, shard_index, _cl3_check)
 
 
-_CHECKERS = {
-    "main": check_main,
-    "lemma": check_lemma,
-    "bg": check_bg,
-    "cl2": check_cl2,
-    "cl3": check_cl3,
-}
+_CHECKERS = {"main": check_main, "lemma": check_lemma, "bg": check_bg,
+             "cl2": check_cl2, "cl3": check_cl3, "equiv": check_equiv}
 
 
 def run_checks(which, max_n: int | None = None, shards: int = 1,
                shard_index: int = 0) -> dict[str, SuiteReport]:
-    """Run a subset of suites.
+    """Run a subset of suites, each named suite once.
 
     max_n above a suite's cap is clamped, but a max_n no suite in the
-    selection supports is rejected outright, and so are shard arguments
-    out of range even when no selected suite is sharded.
+    selection supports is rejected outright, and so are an empty
+    selection and shard arguments out of range, even when no selected
+    suite is sharded.
     """
-    which = list(which)
+    which = list(dict.fromkeys(which))
+    if not which:
+        raise ValueError(f"no suite selected; choose from {SUITES}")
     for name in which:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
     _check_shards(shards, shard_index)
-    if max_n is not None and which and max_n > max(SUITE_MAX_N[s] for s in which):
+    if max_n is not None and max_n > max(SUITE_MAX_N[s] for s in which):
         raise ValueError(
             f"max_n={max_n} out of range for suites {which}"
             f" (caps: {', '.join(f'{s}<={SUITE_MAX_N[s]}' for s in which)})"
@@ -334,8 +334,7 @@ def run_checks(which, max_n: int | None = None, shards: int = 1,
     for name in which:
         cap = SUITE_MAX_N[name]
         n = cap if max_n is None else min(max_n, cap)
-        if name == "equiv":
-            reports[name] = check_equiv(n)
-        else:
-            reports[name] = _CHECKERS[name](n, shards=shards, shard_index=shard_index)
+        checker = _CHECKERS[name]
+        reports[name] = (checker(n) if name == "equiv" else
+                         checker(n, shards=shards, shard_index=shard_index))
     return reports

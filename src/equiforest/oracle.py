@@ -188,17 +188,18 @@ def decode_prufer(n: int, word) -> list[tuple[int, int]]:
     return edges
 
 
-def labeled_trees_in_range(n: int, start: int, stop: int):
-    """Trees for Prufer-word indices [start, stop); the sharding surface.
+def labeled_trees_in_range(n: int, start: int = 0, stop: int | None = None):
+    """Trees for Prufer-word indices [start, stop), every labeled tree on
+    n vertices by default.
 
     Index order is the lexicographic order of length-(n-2) words, so
     contiguous ranges partition the full space of num_labeled_trees(n)
-    trees without coordination.
+    trees without coordination.  n < 1 raises ValueError when the
+    generator is first advanced.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    total = num_labeled_trees(n)
     start = max(start, 0)
-    stop = max(start, min(stop, num_labeled_trees(n)))
+    stop = max(start, total if stop is None else min(stop, total))
     if n == 1:  # no Prufer word: decoding needs two leaves
         if start < stop:
             yield Forest._from_tree_edges(1, ())
@@ -267,13 +268,3 @@ def unlabeled_trees(n: int):
             return
         _next_rooted(seq, p)
 
-
-def enumerate_labeled_trees(n: int, cap: int = 8):
-    """Every labeled tree on n vertices exactly once, via Prufer decoding.
-
-    `cap` guards against accidental huge runs; n = 9 (4.8M trees) is the
-    practical ceiling and must be requested explicitly.
-    """
-    if n < 1 or n > cap:
-        raise ValueError(f"n={n} outside supported range 1..{cap}")
-    return labeled_trees_in_range(n, 0, num_labeled_trees(n))

@@ -206,6 +206,12 @@ class TestCheckTheoremsCommand:
     def test_unknown_suite_exit_2(self, capsys):
         assert run(capsys, "check-theorems", "--which", "bogus")[0] == 2
 
+    @pytest.mark.parametrize("extra", [(), ("--max-n", "999")])
+    def test_empty_selection_exit_2(self, capsys, extra):
+        code, out, err = run(capsys, "check-theorems", "--which", ",", "--json", *extra)
+        assert code == 2 and out == ""
+        assert "no suite selected" in err
+
     def test_shard_flags(self, capsys):
         code, out, _ = run(capsys, "check-theorems", "--max-n", "5",
                            "--which", "cl3", "--shards", "2", "--shard-index", "1")

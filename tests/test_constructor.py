@@ -22,7 +22,7 @@ from equiforest import (
     construct,
     decide,
     decide2,
-    enumerate_labeled_trees,
+    labeled_trees_in_range,
     leaves_in,
     parse_forest,
     realize2,
@@ -194,7 +194,7 @@ class TestBranchCoverage:
 class TestConstructSweeps:
     def test_exhaustive_small_strict(self):
         for n in range(1, 7):
-            for f in enumerate_labeled_trees(n):
+            for f in labeled_trees_in_range(n):
                 for k in range(3, n + 1):
                     if decide(f, k).colorable:
                         assert_sound(f, k)
@@ -243,7 +243,7 @@ class TestConstructProfile:
 
     def test_same_result_on_small_trees(self):
         for n in range(1, 7):
-            for f in enumerate_labeled_trees(n):
+            for f in labeled_trees_in_range(n):
                 profile = DecisionProfile(f)
                 for k in range(3, n + 1):
                     assert (_construct_outcome(f, k, profile)

@@ -16,8 +16,8 @@ from equiforest import (
     decide,
     decide1,
     decide2,
-    enumerate_labeled_trees,
     equitable_chromatic_number,
+    labeled_trees_in_range,
     lower_bound,
     oracle_exists,
     parse_forest,
@@ -101,7 +101,7 @@ class TestDecide:
 
     def test_fast_path_agrees_with_full_scan_exhaustive(self):
         for n in range(3, 8):
-            for f in enumerate_labeled_trees(n):
+            for f in labeled_trees_in_range(n):
                 profile = alpha_profile(f)
                 for k in (3, n):
                     expected = all(a >= f.n // k for a in profile)
@@ -115,7 +115,7 @@ class TestDecide:
 
     def test_monotone_in_k_exhaustive(self):
         for n in range(3, 8):
-            for f in enumerate_labeled_trees(n):
+            for f in labeled_trees_in_range(n):
                 previous = False
                 for k in range(3, n + 2):
                     current = decide(f, k).colorable
@@ -124,7 +124,7 @@ class TestDecide:
 
     def test_oracle_equivalence_small(self):
         for n in range(3, 7):
-            for f in enumerate_labeled_trees(n):
+            for f in labeled_trees_in_range(n):
                 for k in range(3, n + 1):
                     report = decide(f, k)
                     assert report.colorable == oracle_exists(f, k)
@@ -484,7 +484,7 @@ class TestChromaticNumber:
 
     def test_matches_oracle_minimum_small(self):
         for n in range(1, 7):
-            for f in enumerate_labeled_trees(n):
+            for f in labeled_trees_in_range(n):
                 chi = equitable_chromatic_number(f)
                 assert oracle_exists(f, chi)
                 if chi > 1:

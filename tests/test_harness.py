@@ -21,7 +21,7 @@ from equiforest.harness import (
     run_checks,
 )
 from equiforest.oracle import (
-    enumerate_labeled_trees,
+    labeled_trees_in_range,
     num_labeled_trees,
     unlabeled_trees,
 )
@@ -80,7 +80,7 @@ class TestUnlabeledTrees:
     def test_each_labeled_tree_has_exactly_one_class(self, n):
         classes = [ahu_class(f) for f in unlabeled_trees(n)]
         assert len(set(classes)) == len(classes)  # no two classes isomorphic
-        assert {ahu_class(f) for f in enumerate_labeled_trees(n)} == set(classes)
+        assert {ahu_class(f) for f in labeled_trees_in_range(n)} == set(classes)
 
     def test_rejects_empty_order(self):
         with pytest.raises(ValueError):
@@ -130,7 +130,7 @@ class TestSuites:
                     "select_bipartition", module.select_bipartition))
         trees = unique_max = 0
         for n in range(3, 7):
-            for f in enumerate_labeled_trees(n):
+            for f in labeled_trees_in_range(n):
                 degrees = [f.degree(v) for v in range(n)]
                 trees += 1
                 unique_max += degrees.count(max(degrees)) == 1
@@ -179,6 +179,28 @@ class TestSuites:
         assert [entry["k"] for entry in report.counterexamples] == [2] * 3
         assert report.counterexamples[0]["detail"].startswith("construction invalid: ")
 
+    def test_main_reports_a_two_color_gap(self, monkeypatch):
+        # plant a 2-colorable tree that decide and the oracle both call
+        # not 3-colorable: the path 0-1-2-3
+        path = parse_forest("4\n0 1\n1 2\n2 3\n")
+
+        class Planted(equitable.DecisionProfile):
+            def decide(self, k):
+                if k == 3 and self.forest == path:
+                    return DecisionReport(k=k, colorable=False)
+                return super().decide(k)
+
+        real_oracle = harness.oracle_exists
+        monkeypatch.setattr(harness, "DecisionProfile", Planted)
+        monkeypatch.setattr(harness, "oracle_exists", lambda forest, k: (
+            False if k == 3 and forest == path else real_oracle(forest, k)))
+        report = check_main(4)
+        [entry] = report.counterexamples
+        assert (entry["n"], entry["k"]) == (4, 3)
+        assert entry["detail"] == "2-colorable but not 3-colorable"
+        assert parse_forest(entry["edges"]) == path
+        assert report.notes[-1] == "2-colorable-but-not-3-colorable trees observed: 1"
+
     def test_main_range_guard(self):
         with pytest.raises(ValueError):
             check_main(9)
@@ -225,15 +247,42 @@ class TestSuites:
         with pytest.raises(ValueError):
             merge_reports(SuiteReport("bg", 5), SuiteReport("cl2", 5))
 
-    def test_run_checks_dispatch_and_clamp(self):
+    def test_run_checks_dispatch_and_clamp(self, monkeypatch):
         reports = run_checks(["equiv", "lemma"], max_n=6)
         assert set(reports) == {"equiv", "lemma"}
         assert all(r.ok for r in reports.values())
+        assert run_checks(["main"], max_n=5)["main"].ok
         with pytest.raises(ValueError):
             run_checks(["nope"], max_n=5)
         with pytest.raises(ValueError, match="out of range"):
             run_checks(["equiv"], max_n=100)
-        # mixed selection: clamped per suite as long as one suite supports it
-        mixed = run_checks(["main", "equiv"], max_n=10)
-        assert mixed["main"].max_n == SUITE_MAX_N["main"]
-        assert mixed["equiv"].max_n == 10
+        # mixed selection: clamped per suite as long as one suite supports
+        # it; equiv alone takes no shard arguments
+        calls = {}
+
+        def recording(name):
+            def checker(max_n, **shard_args):
+                calls[name] = (max_n, shard_args)
+                return SuiteReport(name, max_n)
+            return checker
+
+        for name in ("main", "equiv"):
+            monkeypatch.setitem(harness._CHECKERS, name, recording(name))
+        mixed = run_checks(["main", "equiv"], max_n=10, shards=3, shard_index=1)
+        assert calls == {"main": (SUITE_MAX_N["main"], {"shards": 3, "shard_index": 1}),
+                         "equiv": (10, {})}
+        assert [r.max_n for r in mixed.values()] == [8, 10]
+
+    def test_run_checks_rejects_empty_selection(self):
+        for max_n in (None, 999):
+            with pytest.raises(ValueError, match="no suite selected"):
+                run_checks([], max_n=max_n)
+
+    def test_run_checks_runs_a_repeated_suite_once(self, monkeypatch):
+        calls = []
+        real = harness.check_equiv
+        monkeypatch.setitem(harness._CHECKERS, "equiv",
+                            lambda max_n: calls.append(max_n) or real(max_n))
+        reports = run_checks(["equiv", "lemma", "equiv"], max_n=4)
+        assert list(reports) == ["equiv", "lemma"]
+        assert calls == [4]

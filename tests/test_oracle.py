@@ -7,7 +7,6 @@ import pytest
 from equiforest import (
     Forest,
     OracleLimitError,
-    enumerate_labeled_trees,
     labeled_trees_in_range,
     num_labeled_trees,
     oracle_alpha,
@@ -41,23 +40,23 @@ class TestEnumeration:
     @pytest.mark.parametrize("n,count", [(1, 1), (2, 1), (3, 3), (4, 16), (8, 262144)])
     def test_cayley_counts(self, n, count):
         assert num_labeled_trees(n) == count
-        assert sum(1 for _ in enumerate_labeled_trees(n)) == count
+        assert sum(1 for _ in labeled_trees_in_range(n)) == count
 
     def test_cayley_counts_mid(self):
         for n in (5, 6, 7):
-            assert sum(1 for _ in enumerate_labeled_trees(n)) == n ** (n - 2)
+            assert sum(1 for _ in labeled_trees_in_range(n)) == n ** (n - 2)
 
     def test_trees_distinct_and_valid(self):
         for n in range(1, 7):
             seen = set()
-            for f in enumerate_labeled_trees(n):
+            for f in labeled_trees_in_range(n):
                 f.validate()
                 assert f.n == n and f.num_components == 1
                 seen.add(f.edges)
             assert len(seen) == num_labeled_trees(n)
 
     def test_large_level_spot_validation(self):
-        for i, f in enumerate(enumerate_labeled_trees(7)):
+        for i, f in enumerate(labeled_trees_in_range(7)):
             if i % 97 == 0:
                 f.validate()
                 assert f.num_components == 1
@@ -65,7 +64,7 @@ class TestEnumeration:
     def test_range_sharding_partitions_the_space(self):
         n = 6
         total = num_labeled_trees(n)
-        full = [f.edges for f in enumerate_labeled_trees(n)]
+        full = [f.edges for f in labeled_trees_in_range(n)]
         cuts = [0, total // 3, 2 * total // 3 + 5, total]
         pieces = []
         for lo, hi in zip(cuts, cuts[1:]):
@@ -73,24 +72,26 @@ class TestEnumeration:
         assert pieces == full
 
     def test_ranges_match_reference(self):
-        # full, clamped, partial, empty and reversed index ranges
+        # full, clamped, partial, empty, reversed and open-ended (stop
+        # None: to the last tree) index ranges
         for n in range(1, 8):
             total = num_labeled_trees(n)
             ranges = [(0, total), (-5, total + 5), (1, total - 1),
                       (total // 3, 2 * total // 3 + 1), (total // 2, total // 2),
-                      (total, total + 3), (total - 1, 1), (5, -2)]
+                      (total, total + 3), (total - 1, 1), (5, -2),
+                      (0, None), (total // 2, None), (total + 1, None)]
             for lo, hi in ranges:
                 got = list(labeled_trees_in_range(n, lo, hi))
-                want = list(reference_enumeration.labeled_trees_in_range(n, lo, hi))
+                want = list(reference_enumeration.labeled_trees_in_range(
+                    n, lo, total if hi is None else hi))
                 assert got == want, (n, lo, hi)
                 assert [f.edges for f in got] == [f.edges for f in want], (n, lo, hi)
 
     def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            enumerate_labeled_trees(0)
-        with pytest.raises(ValueError):
-            enumerate_labeled_trees(9)  # needs an explicit cap raise
-        enumerate_labeled_trees(9, cap=9).close()
+        # a generator: the error comes when it is first advanced
+        trees = labeled_trees_in_range(0)
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            next(trees)
 
 
 class TestOracleExists:
@@ -114,7 +115,7 @@ class TestOracleExists:
 
     def test_matches_naive_reference(self):
         for n in range(1, 7):
-            for f in enumerate_labeled_trees(n):
+            for f in labeled_trees_in_range(n):
                 for k in range(1, n + 1):
                     assert oracle_exists(f, k) == brute_equitable_exists(f, k)
 
@@ -170,7 +171,7 @@ class TestOracleStability:
 
     def test_alpha_matches_subset_enumeration(self):
         for n in range(1, 6):
-            for f in enumerate_labeled_trees(n):
+            for f in labeled_trees_in_range(n):
                 assert oracle_alpha(f) == brute_alpha(f)
                 for x in range(n):
                     assert oracle_alpha_x(f, x) == brute_alpha_x(f, x)

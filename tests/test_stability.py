@@ -8,7 +8,7 @@ from equiforest import (
     alpha,
     alpha_profile,
     alpha_x,
-    enumerate_labeled_trees,
+    labeled_trees_in_range,
     lower_bound,
     major_vertex_check,
     max_stable_set,
@@ -72,7 +72,7 @@ class TestAlpha:
     def test_half_order_bound_exhaustive(self):
         # stability of a forest is at least half its order, every tree n <= 8
         for n in range(1, 9):
-            for f in enumerate_labeled_trees(n):
+            for f in labeled_trees_in_range(n):
                 assert alpha(f) >= (n + 1) // 2
 
     @settings(max_examples=100)
@@ -102,12 +102,12 @@ class TestAlphaX:
     def test_against_independent_enumeration_small(self):
         # full sweep over labeled trees n <= 7, every vertex
         for n in range(1, 8):
-            for f in enumerate_labeled_trees(n):
+            for f in labeled_trees_in_range(n):
                 for x in range(n):
                     assert alpha_x(f, x) == oracle_alpha_x(f, x)
 
     def test_against_independent_enumeration_n8_strided(self):
-        for i, f in enumerate(enumerate_labeled_trees(8)):
+        for i, f in enumerate(labeled_trees_in_range(8)):
             if i % 41 == 0:
                 for x in range(8):
                     assert alpha_x(f, x) == oracle_alpha_x(f, x)
@@ -198,7 +198,7 @@ class TestMajorVertex:
 
     def test_exhaustive_small(self):
         for n in range(1, 8):
-            for f in enumerate_labeled_trees(n):
+            for f in labeled_trees_in_range(n):
                 assert major_vertex_check(f).ok
 
 
@@ -230,7 +230,7 @@ class TestMinOverlapStableSet:
 
     def test_exhaustive_small_trees(self):
         for n in range(1, 7):
-            for f in enumerate_labeled_trees(n):
+            for f in labeled_trees_in_range(n):
                 side = select_bipartition(f)
                 for v in range(n):
                     for size in range(1, n + 1):
