@@ -3,11 +3,23 @@ bipartition selector the coloring construction relies on.
 
 Vertices are dense 0-based ids.  Every value here is immutable after
 construction, so instances are safe to share between concurrent tasks.
+``Forest.from_edges`` and ``parse_forest`` pause the cyclic garbage
+collector while they build, since it would only rescan the build's
+acyclic containers of ints.  Builds running at once, in several threads
+or nested, share one pause: the first to start records whether the
+collector was on, and the last to finish turns it back on only if it
+was, whether the build returns or raises.  The pause is process-wide:
+the collector stays off while any build is running, so builds that
+keep overlapping keep it off throughout, and a ``gc.enable()`` or
+``gc.disable()`` made by other code during a build is overwritten when
+the last build finishes.
 """
 
 from __future__ import annotations
 
+import gc
 import re
+import threading
 from dataclasses import dataclass, field
 from itertools import compress, repeat
 from operator import add, eq, floordiv, itemgetter, lt, mod, mul
@@ -96,6 +108,32 @@ def _edge_keys(n: int, us: list[int], vs: list[int]) -> list[int] | None:
     return list(map(add, map(mul, lows, repeat(n)), highs))
 
 
+class _CollectorPause:
+    """Context manager that keeps the cyclic collector off while any
+    holder is inside, and then restores the state the first one found."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._was_enabled = False
+
+    def __enter__(self):
+        with self._lock:
+            if not self._depth:
+                self._was_enabled = gc.isenabled()
+                gc.disable()
+            self._depth += 1
+
+    def __exit__(self, *exc_info):
+        with self._lock:
+            self._depth -= 1
+            if not self._depth and self._was_enabled:
+                gc.enable()
+
+
+_collector_paused = _CollectorPause()
+
+
 @dataclass(frozen=True)
 class SideProfile:
     """Every component's unique 2-coloring, without vertex lists.
@@ -160,22 +198,25 @@ class Forest:
         # group increasing.  A multigraph with c components is a forest
         # iff it has n - c edges (each edge joins two components, or else
         # closes a cycle), so that count rejects self-loops, duplicates
-        # and cycles alike: None, and the caller finds the culprit.
-        keys.sort()
-        m = len(keys)
-        ids = list(range(n))  # one int object per id, shared by every field
-        lists: list[list[int]] = [[] for _ in range(n)]
-        for u, v in zip(map(ids.__getitem__, map(floordiv, keys, repeat(n))),
-                        map(ids.__getitem__, map(mod, keys, repeat(n)))):
-            lists[u].append(v)
-            lists[v].append(u)
-        del keys[:]
-        adjacency = tuple(map(tuple, lists))
-        del lists[:]  # freed before the walk allocates
-        walk = _walk(n, adjacency, ids)
-        if m != n - len(walk[1].first):
-            return None
-        return cls(n, adjacency, *walk)
+        # and cycles alike: None, and the caller finds the culprit.  The
+        # build makes only acyclic containers of ints, so the collector is
+        # paused: its passes would free nothing, only rescan them.
+        with _collector_paused:
+            keys.sort()
+            m = len(keys)
+            ids = list(range(n))  # one int object per id, shared by every field
+            lists: list[list[int]] = [[] for _ in range(n)]
+            for u, v in zip(map(ids.__getitem__, map(floordiv, keys, repeat(n))),
+                            map(ids.__getitem__, map(mod, keys, repeat(n)))):
+                lists[u].append(v)
+                lists[v].append(u)
+            del keys[:]
+            adjacency = tuple(map(tuple, lists))
+            del lists[:]  # freed before the walk allocates
+            walk = _walk(n, adjacency, ids)
+            if m != n - len(walk[1].first):
+                return None
+            return cls(n, adjacency, *walk)
 
     @classmethod
     def _from_tree_edges(cls, n: int, edge_pairs) -> "Forest":
@@ -275,8 +316,11 @@ def _walk(n: int, adjacency, ids=None):
 # nonblank line, then one "u v" pair per nonblank line.  Text in this
 # layout splits into the same tokens as a line-by-line reading does.
 _PLAIN_HEADER = re.compile(r"[ \t\r\n]*([0-9]+)[ \t]*(?:\r?\n|\Z)")
+# Each run of blanks or digits can match in only one way, so every
+# quantifier is possessive: the matcher keeps no state to backtrack into.
 _PLAIN_PAIRS = re.compile(
-    r"(?:[ \t]*(?:[0-9]+[ \t]+[0-9]+[ \t]*)?\r?\n)*[ \t]*(?:[0-9]+[ \t]+[0-9]+[ \t]*)?"
+    r"(?:[ \t]*+(?:[0-9]++[ \t]++[0-9]++[ \t]*+)?+\r?+\n)*+"
+    r"[ \t]*+(?:[0-9]++[ \t]++[0-9]++[ \t]*+)?+"
 )
 # characters matched and split at once; the regex keeps state per line,
 # so slices bound its memory as well as the token lists'

@@ -10,11 +10,22 @@ the differential tests in ``test_ingest.py``, except that
 ``reference_from_edges`` returns the fields the Forest of that time
 stored, ``(n, edges, adjacency, component_id)``, rather than a Forest:
 a Forest now stores only its adjacency and what its build walk records.
+
+``REFERENCE_PLAIN_PAIRS`` is the layout check of the plain reader
+(``equiforest.forest._PLAIN_PAIRS``) as it was written before its
+quantifiers became possessive, kept as the reference for the equivalence
+tests in ``test_ingest.py``.
 """
 
 from __future__ import annotations
 
+import re
+
 from equiforest.forest import CycleError, ForestError, ParseError
+
+REFERENCE_PLAIN_PAIRS = re.compile(
+    r"(?:[ \t]*(?:[0-9]+[ \t]+[0-9]+[ \t]*)?\r?\n)*[ \t]*(?:[0-9]+[ \t]+[0-9]+[ \t]*)?"
+)
 
 
 def _cycle_through(adjacency: list[list[int]], u: int, v: int) -> list[int]:

@@ -3,20 +3,32 @@
 Every input must give the same stored fields (n, edges, adjacency,
 component_id), or the same error class, message and reported cycle, from
 ``parse_forest``/``Forest.from_edges`` and from the reference loop they
-replaced (tests/reference_ingest.py).
+replaced (tests/reference_ingest.py).  The plain reader's layout check
+must accept exactly what the pattern it replaced accepted, and a build
+must leave the cyclic collector as it found it.
 """
 
+import gc
 import itertools
 import random
+import sys
+import threading
 from collections import namedtuple
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from equiforest import Forest, ForestError, parse_forest, serialize_forest
+from equiforest import CycleError, Forest, ForestError, forest, parse_forest, serialize_forest
+from equiforest.generators import random_tree
 
 from conftest import seeded_random_forests
 from ingest_corpus import CORPUS
-from reference_ingest import reference_from_edges, reference_parse_forest
+from reference_ingest import (
+    REFERENCE_PLAIN_PAIRS,
+    reference_from_edges,
+    reference_parse_forest,
+)
 
 
 Built = namedtuple("Built", "n edges adjacency component_id")
@@ -147,3 +159,160 @@ class TestFromEdges:
         assert f.adjacency[2] == (0, 1, 4, 5)
         assert f.adjacency[5] == (2, 3)
         assert f.edges == ((0, 2), (1, 2), (2, 4), (2, 5), (3, 5))
+
+
+def same_verdict(text):
+    return (forest._PLAIN_PAIRS.fullmatch(text) is None) == (
+        REFERENCE_PLAIN_PAIRS.fullmatch(text) is None)
+
+
+class TestPlainLayout:
+    """The plain reader's layout check against the pattern it replaced,
+    and the inputs that must (and must not) take the plain reader."""
+
+    def test_same_language_on_every_short_string(self):
+        # all 335,923 strings of length <= 7 over six characters
+        accepted = 0
+        for length in range(8):
+            for chars in itertools.product("1 \t\r\nx", repeat=length):
+                text = "".join(chars)
+                assert same_verdict(text), repr(text)
+                accepted += REFERENCE_PLAIN_PAIRS.fullmatch(text) is not None
+        assert accepted == 9_558
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.sampled_from(
+        ["0", "17", " ", "\t", "\r", "\n", "\r\n", "x", "#", "3 4", "5\t6 \n", " 7  8\r\n"]),
+        max_size=40).map("".join))
+    def test_same_language_on_longer_strings(self, text):
+        assert same_verdict(text), repr(text)
+
+    @pytest.mark.parametrize("text", [
+        "3\n0 1\n1 2\n",
+        "3\r\n0 1\r\n1 2\r\n",
+        "3\n0\t1\n\t1 \t 2\t\n",
+        "\n  \n3\n\n0 1\n \t\n1 2\n\n\n",
+        "3 \t\n0 1  \n1 2 \t",
+        "3\r\n2 1\r\n\r\n1 0",
+    ])
+    def test_plain_layouts_take_the_plain_reader(self, text):
+        built = forest._read_plain(text)
+        assert isinstance(built, Forest)
+        assert stored(built) == outcome(reference_parse_forest, text)
+
+    def test_serialized_forests_take_the_plain_reader(self):
+        for f in itertools.islice(seeded_random_forests(), 0, 400, 7):
+            assert forest._read_plain(serialize_forest(f)) == f
+
+    @pytest.mark.parametrize("text", [
+        "3\n0 1 # an edge\n1 2\n",
+        "# a forest\n3\n0 1\n1 2\n",
+        "3\n+0 1\n1 2\n",
+        "3\n0 1\n1 -2\n",
+        "3\n0 \u0661\n1 2\n",  # ARABIC-INDIC DIGIT ONE
+        "\uff13\n0 1\n1 2\n",  # FULLWIDTH DIGIT THREE
+        "3\n0 1\n2\n",
+        "3\n0 1 2\n",
+    ])
+    def test_other_layouts_fall_back_to_the_line_reader(self, text):
+        assert forest._read_plain(text) is None
+
+
+@pytest.fixture
+def collector_state():
+    """Restore the collector's state after the test, whatever it did."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+@pytest.mark.usefixtures("collector_state")
+class TestCollectorPause:
+    """A build pauses the cyclic collector and leaves its state as it
+    found it: after a return or a raise, alone, nested or concurrent."""
+
+    TEXT = serialize_forest(random_tree(200, 1))
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_state_restored_after_a_parse(self, enabled):
+        (gc.enable if enabled else gc.disable)()
+        assert parse_forest(self.TEXT).n == 200
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_state_restored_after_a_rejected_forest(self, enabled):
+        (gc.enable if enabled else gc.disable)()
+        with pytest.raises(CycleError):
+            Forest.from_edges(3, [(0, 1), (1, 2), (2, 0)])
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_state_restored_after_a_raise_inside_the_walk(self, monkeypatch, enabled):
+        def failing_walk(*args):
+            raise RuntimeError("walk failed")
+
+        monkeypatch.setattr(forest, "_walk", failing_walk)
+        (gc.enable if enabled else gc.disable)()
+        with pytest.raises(RuntimeError, match="walk failed"):
+            parse_forest(self.TEXT)
+        assert gc.isenabled() is enabled
+
+    def test_collector_off_during_the_walk(self, monkeypatch):
+        seen = []
+        walk = forest._walk
+
+        def recording_walk(*args):
+            seen.append(gc.isenabled())
+            return walk(*args)
+
+        monkeypatch.setattr(forest, "_walk", recording_walk)
+        gc.enable()
+        parse_forest(self.TEXT)
+        assert seen == [False] and gc.isenabled()
+
+    def test_nested_pauses_hold_until_the_outermost_exits(self, monkeypatch):
+        gc.enable()
+        walk = forest._walk
+        inner = []
+
+        def nesting_walk(*args):  # one build inside another
+            monkeypatch.setattr(forest, "_walk", walk)
+            inner.append(parse_forest(self.TEXT).n)
+            inner.append(gc.isenabled())
+            return walk(*args)
+
+        with forest._collector_paused:
+            with forest._collector_paused:
+                assert not gc.isenabled()
+            assert not gc.isenabled()
+            monkeypatch.setattr(forest, "_walk", nesting_walk)
+            parse_forest(self.TEXT)
+            assert inner == [200, False]
+            assert not gc.isenabled()
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_concurrent_builds_restore_the_state(self, enabled):
+        text = serialize_forest(random_tree(20_000, 2))
+        expected = parse_forest(text)
+        start = threading.Barrier(8, timeout=60)
+        results = []
+
+        def parse_five_times():
+            start.wait()
+            results.extend(parse_forest(text) == expected for _ in range(5))
+
+        (gc.enable if enabled else gc.disable)()
+        threads = [threading.Thread(target=parse_five_times) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # many more thread switches inside each build
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [True] * 40
+        assert gc.isenabled() is enabled

@@ -15,15 +15,14 @@ in CHANGES.md:
 
 from __future__ import annotations
 
-import contextlib
-import hashlib
-import io
 import json
 import os
 import sys
 from pathlib import Path
 
 from equiforest import cli
+
+from digests import moved_keys, run_digest, write_digests
 
 DIGESTS = Path(__file__).with_name("golden") / "check_theorems_digests.json"
 
@@ -69,21 +68,13 @@ def command_key(argv) -> str:
     return " ".join(argv)
 
 
-def run_digest(argv) -> str:
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = cli.main(list(argv))
-        except SystemExit as exc:  # argparse usage errors
-            code = exc.code
-    payload = json.dumps([out.getvalue(), err.getvalue(), code])
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+def replay():
+    return ((command_key(argv), run_digest(argv)) for argv in digest_commands())
 
 
 def record() -> None:
     os.environ.pop(cli.SHARDS_ENV, None)
-    digests = {command_key(argv): run_digest(argv) for argv in digest_commands()}
-    DIGESTS.write_text(json.dumps(digests, indent=2) + "\n", encoding="utf-8")
+    write_digests(DIGESTS, dict(replay()))
 
 
 def test_keys_are_distinct_and_recorded():
@@ -94,9 +85,7 @@ def test_keys_are_distinct_and_recorded():
 
 def test_check_theorems_digests_unchanged(monkeypatch):
     monkeypatch.delenv(cli.SHARDS_ENV, raising=False)
-    expected = json.loads(DIGESTS.read_text())
-    moved = [command_key(argv) for argv in digest_commands()
-             if run_digest(argv) != expected.get(command_key(argv))]
+    moved = moved_keys(DIGESTS, replay())
     assert moved == [], f"{len(moved)} digests moved: {moved}"
 
 
