@@ -254,6 +254,8 @@ def _table_rows(family: str, lo: int, hi: int):
 
 
 def cmd_table(args) -> int:
+    if args.json and args.csv:
+        raise ValueError("--json and --csv are mutually exclusive")
     family, _, span = args.range_spec.partition(":")
     if family.startswith("family:"):
         family = family[len("family:"):]
@@ -262,8 +264,6 @@ def cmd_table(args) -> int:
         raise ValueError("range spec must look like FAMILY:LO..HI")
     rows = list(_table_rows(family, int(lo_text), int(hi_text)))
     fields = ["instance", "n", "max_degree", "a", "b", "lower_bound", "chi_eq", "branch"]
-    if args.json and args.csv:
-        raise ValueError("--json and --csv are mutually exclusive")
     if args.json:
         _emit(args, _base_report(args, args.range_spec, {"rows": rows}), [])
     else:

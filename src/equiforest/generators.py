@@ -165,9 +165,18 @@ def random_forest(n: int, c: int, seed: int) -> Forest:
     Component sizes are a uniform composition of n into c positive parts
     (stars-and-bars: c-1 distinct cuts drawn from 1..n-1); each component
     is an independent random tree.
+
+    Two shortcuts skip work the output does not depend on, and neither
+    moves a seeded forest.  At c = n every gap is a cut, so the forest
+    is edgeless for any seed, and no cut is drawn: no later draw is
+    left to shift.  A 2-vertex component has one tree and an empty
+    Prufer word, so its edge is added without decoding, and no draw is
+    skipped.
     """
     if n < 1 or not 1 <= c <= n:
         raise ValueError("random_forest needs n >= 1 and 1 <= c <= n")
+    if c == n:
+        return Forest.from_edges(n, ())
     rng = SplitMix64(seed)
     cuts: set[int] = set()
     while len(cuts) < c - 1:
@@ -176,7 +185,9 @@ def random_forest(n: int, c: int, seed: int) -> Forest:
     edges = []
     for lo, hi in zip(bounds, bounds[1:]):
         size = hi - lo
-        if size >= 2:
+        if size == 2:
+            edges.append((lo, lo + 1))
+        elif size > 2:
             word = [rng.below(size) for _ in range(size - 2)]
             edges.extend((lo + u, lo + v) for u, v in decode_prufer(size, word))
     return Forest.from_edges(n, edges)

@@ -469,3 +469,15 @@ class TestTableCommand:
         b = run(capsys, "table", "star:3..4")
         assert a == b
         assert run(capsys, "table", "star:3..4", "--csv", "--json")[0] == 2
+
+    def test_flag_clash_checked_before_any_row(self, capsys, monkeypatch):
+        def no_rows(*args):
+            raise AssertionError("rows computed before the flag check")
+
+        monkeypatch.setattr(cli, "_table_rows", no_rows)
+        code, out, err = run(capsys, "table", "star:3..3000", "--json", "--csv")
+        assert (code, out) == (2, "")
+        assert err == "error: --json and --csv are mutually exclusive\n"
+        # the flag clash is reported ahead of a bad range spec
+        code, _, err = run(capsys, "table", "star-3-8", "--csv", "--json")
+        assert code == 2 and "mutually exclusive" in err

@@ -6,14 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equiforest import lower_bound, decide2, equitable_chromatic_number
+import equiforest.generators as generators
+from equiforest import Forest, lower_bound, decide2, equitable_chromatic_number
 from equiforest.generators import (
     FamilySpec,
     SplitMix64,
     format_family,
     gen_family,
     parse_family,
+    random_forest,
 )
+
+from reference_generators import reference_random_forest
 
 
 class TestShapes:
@@ -104,6 +108,47 @@ class TestDeterminism:
         rng = SplitMix64(0)
         assert rng.next64() == 0xE220A8397B1DCDAF
         assert rng.next64() == 0x6E789E6AA1B965F4
+
+
+class TestReferenceRandomForest:
+    """``random_forest`` against the generator as it was before its two
+    shortcuts: every field of every Forest equal."""
+
+    def test_every_small_forest(self):
+        # every n <= 40, every c in 1..n, seeds 0-11: 9,840 forests
+        for n in range(1, 41):
+            for c in range(1, n + 1):
+                for seed in range(12):
+                    assert vars(random_forest(n, c, seed)) == vars(
+                        reference_random_forest(n, c, seed)), (n, c, seed)
+
+    @pytest.mark.parametrize("c", [2_000, 1_999, 1_000])
+    def test_many_components(self, c):
+        for seed in range(3):
+            assert vars(random_forest(2_000, c, seed)) == vars(
+                reference_random_forest(2_000, c, seed)), (c, seed)
+
+    def test_edgeless_forest_draws_nothing(self, monkeypatch):
+        def no_draw(self):
+            raise AssertionError("random_forest drew at c = n")
+
+        monkeypatch.setattr(SplitMix64, "next64", no_draw)
+        for seed in range(5):
+            assert vars(random_forest(50, 50, seed)) == vars(Forest.from_edges(50, ()))
+
+    def test_two_vertex_components_skip_decoding(self, monkeypatch):
+        sizes = []
+        real = generators.decode_prufer
+
+        def counted(size, word):
+            sizes.append(size)
+            return real(size, word)
+
+        monkeypatch.setattr(generators, "decode_prufer", counted)
+        f = random_forest(60, 25, 4)
+        assert vars(f) == vars(reference_random_forest(60, 25, 4))
+        assert 2 in Counter(f.component_id).values()
+        assert sizes and 2 not in sizes
 
 
 class TestUniformity:
