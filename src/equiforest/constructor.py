@@ -11,8 +11,6 @@ so it raises ProofStepError with the partial trace.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import compress
-from operator import not_
 
 from .equitable import DecisionProfile, _class_sizes
 from .forest import Forest, leaves_in
@@ -48,13 +46,23 @@ class EquitableColoring:
     k: int
     assignment: tuple[int, ...]
 
+    def _check_classes(self) -> None:
+        # verify's check and message; unchecked, class 0 would count as
+        # class k
+        assignment, k = self.assignment, self.k
+        if assignment and (min(assignment) < 1 or max(assignment) > k):
+            c = next(c for c in assignment if not 1 <= c <= k)
+            raise ValueError(f"class index {c} outside 1..{k}")
+
     def class_vertices(self) -> tuple[frozenset[int], ...]:
+        self._check_classes()
         out: list[list[int]] = [[] for _ in range(self.k)]
         for v, c in enumerate(self.assignment):
             out[c - 1].append(v)
         return tuple(frozenset(c) for c in out)
 
     def sizes(self) -> tuple[int, ...]:
+        self._check_classes()
         counts = [0] * self.k
         for c in self.assignment:
             counts[c - 1] += 1
@@ -159,8 +167,8 @@ def construct(forest: Forest, k: int, profile: DecisionProfile | None = None
     verified.
 
     ``profile`` is the forest's DecisionProfile when the caller holds
-    one: its verdict and its bipartition are read, not computed again.
-    Without it a profile is built here.  Raises ValueError when k < 1 or
+    one: its verdict, its bipartition and the bipartition's vertex lists
+    are read, not computed again.  Without it a profile is built here.  Raises ValueError when k < 1 or
     the profile belongs to another forest object, NotColorableError when
     the decision says no and ProofStepError when a construction step's
     feasibility check fails.
@@ -182,8 +190,7 @@ def construct(forest: Forest, k: int, profile: DecisionProfile | None = None
     sizes = _class_sizes(n, k)
     side = profile.bipartition
     b = side.b
-    vertices_a = list(compress(range(n), side.in_a))
-    vertices_b = list(compress(range(n), map(not_, side.in_a)))
+    vertices_a, vertices_b = profile.side_vertices
 
     acc = 0
     j = k
@@ -202,7 +209,7 @@ def construct(forest: Forest, k: int, profile: DecisionProfile | None = None
         classes_b, classes_a = range(1, j + 1), range(j + 1, k + 1)
     elif j > 1:
         trace = _split_branch(forest, sizes, side, j, prefix_j, assignment,
-                              vertices_a, vertices_b)
+                              vertices_a, profile.b_by_degree)
         classes_b, classes_a = range(1, j), range(j + 1, k + 1)
     else:
         trace = _leaf_branches(forest, k, sizes, side, assignment, vertices_b)
@@ -219,16 +226,14 @@ def construct(forest: Forest, k: int, profile: DecisionProfile | None = None
 
 
 def _split_branch(forest, sizes, side, j, prefix_j, assignment,
-                  vertices_a, vertices_b):
-    # Move the s lowest-degree B-vertices into class j and fill it up
-    # from A-vertices having no neighbor among them.
+                  vertices_a, b_by_degree):
+    # Move the s lowest-degree B-vertices (b_by_degree: by (degree, id))
+    # into class j and fill it up from A-vertices having no neighbor
+    # among them.
     b = side.b
     s = b - (prefix_j - sizes[j - 1])
     adjacency = forest.adjacency
-    degrees = list(map(len, adjacency))
-    # a stable sort of the ascending vertices_b: by (degree, id)
-    by_degree = sorted(vertices_b, key=degrees.__getitem__)
-    donors = by_degree[:s]
+    donors = b_by_degree[:s]
     donor_set = frozenset(donors)
     blocked = set()
     for v in donors:

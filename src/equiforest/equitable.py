@@ -11,8 +11,8 @@ chosen sides sum to floor(n/2).  k = 1 requires an edgeless forest.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
-from operator import sub
+from itertools import compress, groupby
+from operator import not_, sub
 
 from .forest import Bipartition, Forest, max_degree_vertices, select_bipartition
 from .stability import LowerBoundReport, alpha_x, lower_bound
@@ -90,9 +90,10 @@ class DecisionProfile:
     maximum-degree vertex, or nothing when that vertex is not unique.
     So one degree scan and at most one ``alpha_x`` walk answer
     ``decide(k)`` for every k >= 3.  The scan (``vertex``), the walk
-    (``vertex_alpha``) and the construction's ``bipartition`` are
-    computed when first read and then kept, so k = 1 and k = 2 pay for
-    none of the k >= 3 work.  Every k's report is kept too: ``decide(k)``
+    (``vertex_alpha``) and the construction's k-independent inputs
+    (``bipartition``, ``side_vertices``, ``b_by_degree``) are computed
+    when first read and then kept, so k = 1 and k = 2 pay for none of
+    the k >= 3 work.  Every k's report is kept too: ``decide(k)``
     builds it on the first call and returns that same object after, so
     ``construct(forest, k, profile)`` re-reads the verdict its caller
     just asked for.
@@ -125,6 +126,20 @@ class DecisionProfile:
     def bipartition(self) -> Bipartition:
         """``select_bipartition(forest)``; it does not depend on k."""
         return select_bipartition(self.forest)
+
+    @_kept
+    def side_vertices(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The A-vertices and the B-vertices of ``bipartition``, each
+        ascending; the construction reads them for every k."""
+        in_a, vertices = self.bipartition.in_a, range(self.forest.n)
+        return tuple(compress(vertices, in_a)), tuple(compress(vertices, map(not_, in_a)))
+
+    @_kept
+    def b_by_degree(self) -> tuple[int, ...]:
+        """The B-vertices by (degree, id): the split branch's donor order."""
+        degrees = list(map(len, self.forest.adjacency))
+        # a stable sort of the ascending B-vertices
+        return tuple(sorted(self.side_vertices[1], key=degrees.__getitem__))
 
     def decide(self, k: int) -> DecisionReport:
         """Is the forest equitably k-colorable, for any k >= 1?

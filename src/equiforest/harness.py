@@ -37,9 +37,9 @@ from .constructor import ProofStepError, construct, verify
 from .equitable import DecisionProfile, decide
 from .forest import Forest, max_degree_vertices, serialize_forest
 from .oracle import (
+    EquitableSearch,
     labeled_trees_in_range,
     num_labeled_trees,
-    oracle_exists,
     unlabeled_trees,
 )
 from .stability import alpha_profile, major_vertex_check
@@ -189,16 +189,19 @@ def check_main(max_n: int = 8, shards: int = 1, shard_index: int = 0,
     a counterexample.
     `checked` counts only the k >= 3 pairs.  Each tree is decided and
     constructed through one DecisionProfile, so its alpha_x and its
-    bipartition are computed once for all k.
+    bipartition are computed once for all k, and searched through one
+    EquitableSearch, so its adjacency masks and vertex order are built
+    once for k = 2..n.
     """
     report = _report("main", max_n)
     two_color_gap = 0
     two_color_pairs = 0
     for forest in _trees(report, shards, shard_index):
         profile = DecisionProfile(forest)
+        search = EquitableSearch(forest)
         colorable2 = profile.decide(2).colorable
         two_color_pairs += 1
-        if colorable2 != oracle_exists(forest, 2):
+        if colorable2 != (search.coloring(2) is not None):
             report.counterexamples.append(
                 _payload(forest, f"decide2={colorable2} oracle2 disagrees", 2)
             )
@@ -206,7 +209,7 @@ def check_main(max_n: int = 8, shards: int = 1, shard_index: int = 0,
             _construct_and_verify(report, forest, 2, profile)
         for k in range(3, forest.n + 1):
             verdict = profile.decide(k).colorable
-            truth = oracle_exists(forest, k)
+            truth = search.coloring(k) is not None
             report.checked += 1
             if verdict != truth:
                 report.counterexamples.append(

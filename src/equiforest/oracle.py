@@ -3,7 +3,10 @@ colorability, brute-force stability numbers, exhaustive labeled-tree
 enumeration via Prufer words, and one tree per isomorphism class.
 
 Nothing here shares logic with the decision procedures it is used to
-check; the search code works directly from the definitions.
+check; the search code works directly from the definitions.  The
+equitable-coloring search keeps its per-forest state, the adjacency
+masks and the vertex order, in one ``EquitableSearch``, which runs one
+stack-based search per k.
 """
 
 from __future__ import annotations
@@ -42,61 +45,91 @@ def _size_multiset(n: int, k: int) -> list[int]:
     return [base] * (k - extra) + [base + 1] * extra
 
 
-def backtrack_equitable(forest: Forest, k: int) -> tuple[int, ...] | None:
-    """Search for a proper coloring whose class sizes differ by at most one.
+class EquitableSearch:
+    """The brute-force equitable-coloring search over one forest, for
+    every k.
 
-    Vertices are tried in degree-descending order; classes are capped by
-    the exact size multiset, and empty classes with equal caps are
-    interchangeable so only the first is tried.  Returns a vertex ->
-    class (1..k) assignment or None.
+    The adjacency masks and the vertex order (degree-descending, ties by
+    ascending id) do not depend on k, so they are built once here, and the
+    size limit is checked here too; ``coloring(k)`` then runs one search.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    n = forest.n
-    if n == 0:
-        return ()
-    caps = _size_multiset(n, k)
-    masks = _adjacency_masks(forest)
-    degrees = list(map(len, forest.adjacency))
-    # stable, so ties keep ascending ids: the (-degree, id) order
-    order = sorted(range(n), key=degrees.__getitem__, reverse=True)
-    counts = [0] * k
-    class_masks = [0] * k
-    assignment = [0] * n
 
-    def place(i: int) -> bool:
-        if i == n:
-            return True
-        v = order[i]
-        bit = 1 << v
-        amask = masks[v]
-        for c in range(k):
-            if counts[c] == caps[c] or class_masks[c] & amask:
-                continue
-            if c > 0 and counts[c] == 0 and counts[c - 1] == 0 and caps[c - 1] == caps[c]:
-                continue
-            counts[c] += 1
-            class_masks[c] |= bit
-            assignment[v] = c + 1
-            if place(i + 1):
-                return True
-            counts[c] -= 1
-            class_masks[c] &= ~bit
-        return False
+    def __init__(self, forest: Forest):
+        _check_size(forest)
+        masks = _adjacency_masks(forest)
+        degrees = list(map(len, forest.adjacency))
+        # stable, so ties keep ascending ids: the (-degree, id) order
+        order = sorted(range(forest.n), key=degrees.__getitem__, reverse=True)
+        self.n = forest.n
+        self._steps = [(v, 1 << v, masks[v]) for v in order]
 
-    return tuple(assignment) if place(0) else None
+    def coloring(self, k: int) -> tuple[int, ...] | None:
+        """Search for a proper coloring whose class sizes differ by at
+        most one: a vertex -> class (1..k) assignment, or None.
+
+        Vertices are placed in the stored order, each in the first class
+        that admits it.  Classes are capped by the exact size multiset,
+        and empty classes with equal caps are interchangeable, so only the
+        first is tried.  A vertex no class admits sends the search back to
+        the previous vertex's next class.  The depth and the classes of the
+        vertices placed so far are the whole stack, kept in local lists,
+        so no state outlives a call.
+        """
+        if k < 1:
+            raise ValueError("k must be >= 1")
+        n = self.n
+        if n == 0:
+            return ()
+        steps = self._steps
+        caps = _size_multiset(n, k)
+        counts = [0] * k
+        class_masks = [0] * k
+        assignment = [0] * n
+        i = c = 0
+        while True:
+            v, bit, amask = steps[i]
+            while c < k and (
+                    counts[c] == caps[c] or class_masks[c] & amask
+                    or c and not counts[c] and not counts[c - 1]
+                    and caps[c - 1] == caps[c]):
+                c += 1
+            if c < k:
+                counts[c] += 1
+                class_masks[c] |= bit
+                assignment[v] = c + 1
+                i += 1
+                if i == n:
+                    return tuple(assignment)
+                c = 0
+            elif i:
+                # back to the previous vertex, on to its next class
+                i -= 1
+                v, bit, _ = steps[i]
+                c = assignment[v]
+                counts[c - 1] -= 1
+                class_masks[c - 1] ^= bit
+            else:
+                return None
+
+
+def backtrack_equitable(forest: Forest, k: int) -> tuple[int, ...] | None:
+    """``EquitableSearch(forest).coloring(k)``: one stack-based search for
+    a proper coloring whose class sizes differ by at most one (n <= 20),
+    over adjacency masks and a degree-descending vertex order built for
+    this call.  A caller searching one forest at several k builds the
+    ``EquitableSearch`` once and asks it.
+    """
+    return EquitableSearch(forest).coloring(k)
 
 
 def oracle_coloring(forest: Forest, k: int) -> tuple[int, ...] | None:
     """Equitable k-coloring found by exhaustive search, or None (n <= 20)."""
-    _check_size(forest)
-    return backtrack_equitable(forest, k)
+    return EquitableSearch(forest).coloring(k)
 
 
 def oracle_exists(forest: Forest, k: int) -> bool:
     """True iff an equitable k-coloring exists; exhaustive search, n <= 20."""
-    _check_size(forest)
-    return backtrack_equitable(forest, k) is not None
+    return EquitableSearch(forest).coloring(k) is not None
 
 
 def oracle_alpha(forest: Forest) -> int:

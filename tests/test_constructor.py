@@ -481,6 +481,23 @@ class TestVerify:
             verify(f, EquitableColoring(2, (0, 1, 2)))
 
 
+class TestColoringClasses:
+    @pytest.mark.parametrize("assignment, bad", [
+        ((0, 1, 2), 0),    # class 0 would count as class k
+        ((1, 2, 4), 4),    # above k
+        ((3, 2, -1), -1),  # the first out-of-range index is named
+    ])
+    def test_out_of_range_class_rejected(self, assignment, bad):
+        coloring = EquitableColoring(3, assignment)
+        message = f"class index {bad} outside 1..3"
+        with pytest.raises(ValueError, match=message):
+            coloring.sizes()
+        with pytest.raises(ValueError, match=message):
+            coloring.class_vertices()
+        with pytest.raises(ValueError, match=message):
+            verify(path(3), coloring)
+
+
 class TestColoringFiles:
     def test_roundtrip(self):
         f = gen_family(FamilySpec("random_tree", (9,), 4))

@@ -5,6 +5,7 @@ import pytest
 import equiforest.constructor as constructor
 import equiforest.equitable as equitable
 import equiforest.harness as harness
+import equiforest.oracle as oracle
 from equiforest.constructor import ProofStepError
 from equiforest.equitable import DecisionReport
 from equiforest.forest import parse_forest
@@ -170,6 +171,28 @@ class TestSuites:
         assert report.ok
         assert calls["construct"] > 0 and calls["verify"] == calls["construct"], calls
 
+    def test_main_builds_one_search_per_tree(self, monkeypatch):
+        # the masks and vertex order are built once per tree, and every
+        # k = 2..n is searched through that one object
+        built, searched = [], []
+
+        class Counting(oracle.EquitableSearch):
+            def __init__(self, forest):
+                super().__init__(forest)
+                built.append(forest.n)
+
+            def coloring(self, k):
+                searched.append((len(built), k))
+                return super().coloring(k)
+
+        monkeypatch.setattr(harness, "EquitableSearch", Counting)
+        report = check_main(5)
+        assert report.ok
+        trees = sum(num_labeled_trees(n) for n in range(3, 6))
+        assert len(built) == trees
+        assert searched == [(i, k) for i, n in enumerate(built, start=1)
+                            for k in range(2, n + 1)]
+
     def test_main_records_invalid_two_coloring(self, monkeypatch):
         def monochrome(forest, k, profile=None):
             return constructor.EquitableColoring(k, (1,) * forest.n), None
@@ -190,10 +213,18 @@ class TestSuites:
                     return DecisionReport(k=k, colorable=False)
                 return super().decide(k)
 
-        real_oracle = harness.oracle_exists
+        class PlantedSearch(oracle.EquitableSearch):
+            def __init__(self, forest):
+                super().__init__(forest)
+                self.planted = forest == path
+
+            def coloring(self, k):
+                if k == 3 and self.planted:
+                    return None
+                return super().coloring(k)
+
         monkeypatch.setattr(harness, "DecisionProfile", Planted)
-        monkeypatch.setattr(harness, "oracle_exists", lambda forest, k: (
-            False if k == 3 and forest == path else real_oracle(forest, k)))
+        monkeypatch.setattr(harness, "EquitableSearch", PlantedSearch)
         report = check_main(4)
         [entry] = report.counterexamples
         assert (entry["n"], entry["k"]) == (4, 3)

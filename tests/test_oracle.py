@@ -16,6 +16,7 @@ from equiforest import (
     parse_forest,
 )
 from equiforest.generators import FamilySpec, gen_family
+from equiforest.oracle import EquitableSearch, backtrack_equitable
 
 import reference_enumeration
 import reference_oracle
@@ -156,6 +157,53 @@ class TestBacktrackAgainstReference:
         for f in small:
             self._same(f, found)
         assert len(small) >= 10 and found[1], (len(small), found)
+
+
+class TestEquitableSearch:
+    """One search object reused at every k, ascending and then
+    descending, against a fresh reference search per k: no state may
+    leak from one k to the next."""
+
+    @staticmethod
+    def _reused(f, found):
+        search = EquitableSearch(f)
+        for k in [*range(1, f.n + 1), *range(f.n, 0, -1)]:
+            witness = search.coloring(k)
+            assert witness == reference_oracle.backtrack_equitable(f, k), (f, k)
+            found[witness is not None] += 1
+
+    def test_all_labeled_forests(self):
+        found = [0, 0]
+        for n in range(1, 7):
+            for f in all_labeled_forests(n):
+                self._reused(f, found)
+        assert all(found), found
+
+    def test_seeded_random_forests(self):
+        found = [0, 0]
+        for f in seeded_random_forests():
+            if f.n <= 12:
+                self._reused(f, found)
+        assert all(found), found
+
+    @pytest.mark.parametrize("entry", [
+        backtrack_equitable,
+        oracle_coloring,
+        lambda f, k: EquitableSearch(f).coloring(k),
+    ])
+    def test_entry_point_guards(self, entry):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            entry(path(3), 0)
+        with pytest.raises(OracleLimitError):
+            entry(path(21), 3)
+        assert entry(parse_forest("0"), 2) == ()
+
+    def test_exists_guards(self):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            oracle_exists(path(3), 0)
+        with pytest.raises(OracleLimitError):
+            oracle_exists(path(21), 3)
+        assert oracle_exists(parse_forest("0"), 2) is True
 
 
 class TestOracleStability:
