@@ -256,9 +256,7 @@ def _table_rows(family: str, lo: int, hi: int):
 def cmd_table(args) -> int:
     if args.json and args.csv:
         raise ValueError("--json and --csv are mutually exclusive")
-    family, _, span = args.range_spec.partition(":")
-    if family.startswith("family:"):
-        family = family[len("family:"):]
+    family, _, span = args.range_spec.removeprefix("family:").partition(":")
     lo_text, sep, hi_text = span.partition("..")
     if not sep:
         raise ValueError("range spec must look like FAMILY:LO..HI")

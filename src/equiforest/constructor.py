@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .equitable import DecisionProfile, _class_sizes
+from .equitable import DecisionProfile, class_sizes
 from .forest import Forest, leaves_in
 from .stability import stable_set_of_size_min_b
 
@@ -168,10 +168,10 @@ def construct(forest: Forest, k: int, profile: DecisionProfile | None = None
 
     ``profile`` is the forest's DecisionProfile when the caller holds
     one: its verdict, its bipartition and the bipartition's vertex lists
-    are read, not computed again.  Without it a profile is built here.  Raises ValueError when k < 1 or
-    the profile belongs to another forest object, NotColorableError when
-    the decision says no and ProofStepError when a construction step's
-    feasibility check fails.
+    are read, not computed again.  Without it a profile is built here.
+    Raises ValueError when k < 1 or the profile belongs to another forest
+    object, NotColorableError when the decision says no and
+    ProofStepError when a construction step's feasibility check fails.
     """
     if profile is None:
         profile = DecisionProfile(forest)
@@ -187,7 +187,7 @@ def construct(forest: Forest, k: int, profile: DecisionProfile | None = None
         return realize2(forest, decision), ConstructionTrace(branch=BRANCH_TWO_SIDES)
     if n == 0:
         return EquitableColoring(k, ()), ConstructionTrace(branch=BRANCH_EMPTY)
-    sizes = _class_sizes(n, k)
+    sizes = class_sizes(n, k)
     side = profile.bipartition
     b = side.b
     vertices_a, vertices_b = profile.side_vertices

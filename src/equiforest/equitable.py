@@ -3,9 +3,10 @@
 For k >= 3 a forest is equitably k-colorable exactly when every vertex x
 satisfies alpha_x >= floor(n/k); a violation can only happen at the
 unique maximum-degree vertex.  So one number per forest, alpha_x at that
-vertex, decides every k >= 3; DecisionProfile computes it once.  k = 2 reduces to choosing, per
-component, which side of its 2-coloring joins the smaller class so the
-chosen sides sum to floor(n/2).  k = 1 requires an edgeless forest.
+vertex, decides every k >= 3; DecisionProfile computes it once.  k = 2
+reduces to choosing, per component, which side of its 2-coloring joins
+the smaller class so the chosen sides sum to floor(n/2).  k = 1 requires
+an edgeless forest.
 """
 
 from __future__ import annotations
@@ -18,29 +19,16 @@ from .forest import Bipartition, Forest, max_degree_vertices, select_bipartition
 from .stability import LowerBoundReport, alpha_x, lower_bound
 
 
-@dataclass(frozen=True)
-class ClassSizes:
+def class_sizes(n: int, k: int) -> tuple[int, ...]:
     """Target class sizes for an equitable k-coloring of n vertices:
-    sizes[i-1] = floor((n+i-1)/k), nondecreasing and summing to n."""
-
-    n: int
-    k: int
-    sizes: tuple[int, ...]
-
-
-def _class_sizes(n: int, k: int) -> tuple[int, ...]:
-    # floor((n+i-1)/k) for i = 1..k: k - n % k classes of n // k, then
-    # n % k classes one larger
-    base, extra = divmod(n, k)
-    return (base,) * (k - extra) + (base + 1,) * extra
-
-
-def class_sizes(n: int, k: int) -> ClassSizes:
+    sizes[i-1] = floor((n+i-1)/k), so k - n % k classes of n // k, then
+    n % k classes one larger, nondecreasing and summing to n."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if n < 0:
         raise ValueError("n must be >= 0")
-    return ClassSizes(n, k, _class_sizes(n, k))
+    base, extra = divmod(n, k)
+    return (base,) * (k - extra) + (base + 1,) * extra
 
 
 @dataclass(frozen=True)

@@ -152,8 +152,6 @@ def random_tree(n: int, seed: int) -> Forest:
         raise ValueError("random_tree needs n >= 1")
     if n == 1:
         return Forest.from_edges(1, ())
-    if n == 2:
-        return Forest.from_edges(2, ((0, 1),))
     rng = SplitMix64(seed)
     word = [rng.below(n) for _ in range(n - 2)]
     return Forest.from_edges(n, decode_prufer(n, word))
@@ -193,42 +191,28 @@ def random_forest(n: int, c: int, seed: int) -> Forest:
     return Forest.from_edges(n, edges)
 
 
+# name: (builder, parameter count); caterpillar, which takes any count,
+# is handled before the table
+_FAMILIES = {"path": (path, 1), "star": (star, 1), "double_star": (double_star, 2),
+             "spider": (spider, 2), "paper3path": (paper3path, 1),
+             "random_tree": (random_tree, 1), "random_forest": (random_forest, 2)}
+
+
 def gen_family(spec: FamilySpec) -> Forest:
     """Materialize a family spec; raises ValueError on unknown families or
     parameter counts/ranges outside the documented ones."""
     name, params = spec.family, spec.params
-
-    def need(count: int):
-        if len(params) != count:
-            raise ValueError(
-                f"family {name} takes {count} parameter(s), got {len(params)}"
-            )
-
     if name in _RANDOM_FAMILIES and spec.seed is None:
         raise ValueError(f"family {name} needs a seed")
-    if name == "path":
-        need(1)
-        return path(params[0])
-    if name == "star":
-        need(1)
-        return star(params[0])
-    if name == "double_star":
-        need(2)
-        return double_star(params[0], params[1])
-    if name == "spider":
-        need(2)
-        return spider(params[0], params[1])
     if name == "caterpillar":
         if not params:
             raise ValueError("caterpillar needs a spine length")
         return caterpillar(params[0], params[1:])
-    if name == "paper3path":
-        need(1)
-        return paper3path(params[0])
-    if name == "random_tree":
-        need(1)
-        return random_tree(params[0], spec.seed)
-    if name == "random_forest":
-        need(2)
-        return random_forest(params[0], params[1], spec.seed)
-    raise ValueError(f"unknown family {name!r}")
+    if name not in _FAMILIES:
+        raise ValueError(f"unknown family {name!r}")
+    build, count = _FAMILIES[name]
+    if len(params) != count:
+        raise ValueError(f"family {name} takes {count} parameter(s), got {len(params)}")
+    if name in _RANDOM_FAMILIES:
+        params += (spec.seed,)
+    return build(*params)

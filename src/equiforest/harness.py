@@ -21,8 +21,8 @@ levels n >= 9 walk one tree per isomorphism class
 (``oracle.unlabeled_trees``: 47 at n = 9, 3,159 at n = 14), which covers
 every tree of that order because the lemma, bg, cl2 and cl3 properties
 do not depend on vertex labels; each class level adds a coverage note to
-the report.  Each suite's accepted max_n range, and the first order it
-sweeps, come from one table, ``_RANGES``.
+the report.  One table, ``_RANGES``, defines each suite in one row: its
+accepted max_n range, the first order it sweeps and its checker.
 
 Sharding splits each level's index space (Prufer words, or the fixed
 class order) into contiguous ranges; report merging is a plain fold, so
@@ -44,11 +44,6 @@ from .oracle import (
 )
 from .stability import alpha_profile, major_vertex_check
 
-# suite: (least max_n, cap, first order swept)
-_RANGES = {"main": (3, 8, 3), "lemma": (1, 14, 1), "bg": (1, 14, 2),
-           "cl2": (2, 14, 2), "cl3": (2, 14, 2), "equiv": (1, 64, 1)}
-SUITES = tuple(_RANGES)
-SUITE_MAX_N = {suite: cap for suite, (_, cap, _) in _RANGES.items()}
 _LABELED_SWEEP_MAX = 8
 
 
@@ -94,7 +89,7 @@ def _payload(forest: Forest, detail: str, k: int | None = None) -> dict:
 
 
 def _report(suite: str, max_n: int) -> SuiteReport:
-    least, cap, _ = _RANGES[suite]
+    least, cap = _RANGES[suite][:2]
     if not least <= max_n <= cap:
         raise ValueError(f"{suite} supports max_n in {least}..{cap}")
     return SuiteReport(suite=suite, max_n=max_n)
@@ -308,8 +303,12 @@ def check_cl3(max_n: int = 14, shards: int = 1, shard_index: int = 0) -> SuiteRe
     return _sweep("cl3", max_n, shards, shard_index, _cl3_check)
 
 
-_CHECKERS = {"main": check_main, "lemma": check_lemma, "bg": check_bg,
-             "cl2": check_cl2, "cl3": check_cl3, "equiv": check_equiv}
+# suite: (least max_n, cap, first order swept, checker)
+_RANGES = {"main": (3, 8, 3, check_main), "lemma": (1, 14, 1, check_lemma),
+           "bg": (1, 14, 2, check_bg), "cl2": (2, 14, 2, check_cl2),
+           "cl3": (2, 14, 2, check_cl3), "equiv": (1, 64, 1, check_equiv)}
+SUITES = tuple(_RANGES)
+SUITE_MAX_N = {suite: row[1] for suite, row in _RANGES.items()}
 
 
 def run_checks(which, max_n: int | None = None, shards: int = 1,
@@ -337,7 +336,7 @@ def run_checks(which, max_n: int | None = None, shards: int = 1,
     for name in which:
         cap = SUITE_MAX_N[name]
         n = cap if max_n is None else min(max_n, cap)
-        checker = _CHECKERS[name]
+        checker = _RANGES[name][3]
         reports[name] = (checker(n) if name == "equiv" else
                          checker(n, shards=shards, shard_index=shard_index))
     return reports

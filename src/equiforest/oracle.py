@@ -112,16 +112,6 @@ class EquitableSearch:
                 return None
 
 
-def backtrack_equitable(forest: Forest, k: int) -> tuple[int, ...] | None:
-    """``EquitableSearch(forest).coloring(k)``: one stack-based search for
-    a proper coloring whose class sizes differ by at most one (n <= 20),
-    over adjacency masks and a degree-descending vertex order built for
-    this call.  A caller searching one forest at several k builds the
-    ``EquitableSearch`` once and asks it.
-    """
-    return EquitableSearch(forest).coloring(k)
-
-
 def oracle_coloring(forest: Forest, k: int) -> tuple[int, ...] | None:
     """Equitable k-coloring found by exhaustive search, or None (n <= 20)."""
     return EquitableSearch(forest).coloring(k)

@@ -95,7 +95,7 @@ def construct(forest: Forest, k: int, profile: DecisionProfile | None = None
     n = forest.n
     if n == 0:
         return EquitableColoring(k, ()), ConstructionTrace(branch=BRANCH_EMPTY)
-    sizes = class_sizes(n, k).sizes
+    sizes = class_sizes(n, k)
     side = profile.bipartition
     b = side.b
     vertices_a = sorted(side.side_a())

@@ -1,6 +1,6 @@
 """The brute-force equitable-coloring search as it stood before it
 ordered its vertices with a C-level key, kept verbatim as the
-differential reference for ``oracle.backtrack_equitable``: the same
+differential reference for ``oracle.EquitableSearch``: the same
 search in the same vertex order must return the same witness."""
 
 from __future__ import annotations

@@ -442,6 +442,13 @@ class TestTableCommand:
     def test_bad_spec_exit_2(self, capsys):
         assert run(capsys, "table", "star-3-8")[0] == 2
 
+    def test_family_prefix(self, capsys):
+        # the prefix that instance specs take is accepted and dropped
+        plain = run(capsys, "table", "star:3..5")
+        assert plain[0] == 0 and len(plain[1].splitlines()) == 4
+        assert run(capsys, "table", "family:star:3..5") == plain
+        assert run(capsys, "table", "family:star:3..5", "--csv") == plain
+
     def test_one_k2_decision_per_row(self, capsys, monkeypatch):
         calls = []
         real = equitable.decide2

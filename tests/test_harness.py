@@ -298,7 +298,8 @@ class TestSuites:
             return checker
 
         for name in ("main", "equiv"):
-            monkeypatch.setitem(harness._CHECKERS, name, recording(name))
+            monkeypatch.setitem(harness._RANGES, name,
+                                harness._RANGES[name][:3] + (recording(name),))
         mixed = run_checks(["main", "equiv"], max_n=10, shards=3, shard_index=1)
         assert calls == {"main": (SUITE_MAX_N["main"], {"shards": 3, "shard_index": 1}),
                          "equiv": (10, {})}
@@ -312,8 +313,8 @@ class TestSuites:
     def test_run_checks_runs_a_repeated_suite_once(self, monkeypatch):
         calls = []
         real = harness.check_equiv
-        monkeypatch.setitem(harness._CHECKERS, "equiv",
-                            lambda max_n: calls.append(max_n) or real(max_n))
+        monkeypatch.setitem(harness._RANGES, "equiv", harness._RANGES["equiv"][:3]
+                            + (lambda max_n: calls.append(max_n) or real(max_n),))
         reports = run_checks(["equiv", "lemma", "equiv"], max_n=4)
         assert list(reports) == ["equiv", "lemma"]
         assert calls == [4]

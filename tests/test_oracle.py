@@ -16,7 +16,7 @@ from equiforest import (
     parse_forest,
 )
 from equiforest.generators import FamilySpec, gen_family
-from equiforest.oracle import EquitableSearch, backtrack_equitable
+from equiforest.oracle import EquitableSearch
 
 import reference_enumeration
 import reference_oracle
@@ -187,7 +187,6 @@ class TestEquitableSearch:
         assert all(found), found
 
     @pytest.mark.parametrize("entry", [
-        backtrack_equitable,
         oracle_coloring,
         lambda f, k: EquitableSearch(f).coloring(k),
     ])
