@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .equitable import DecisionProfile, class_sizes
-from .forest import Forest, leaves_in
+from .forest import Forest, leaves_in, token_lines
 from .stability import stable_set_of_size_min_b
 
 BRANCH_EDGELESS = "edgeless"
@@ -47,8 +47,7 @@ class EquitableColoring:
     assignment: tuple[int, ...]
 
     def _check_classes(self) -> None:
-        # verify's check and message; unchecked, class 0 would count as
-        # class k
+        # unchecked, class 0 would count as class k
         assignment, k = self.assignment, self.k
         if assignment and (min(assignment) < 1 or max(assignment) > k):
             c = next(c for c in assignment if not 1 <= c <= k)
@@ -113,11 +112,7 @@ def verify(forest: Forest, coloring: EquitableColoring) -> VerificationReport:
         raise ValueError("assignment does not cover the vertex set")
     if forest.n and coloring.k < 1:
         raise ValueError("k must be >= 1")
-    counts = [0] * coloring.k
-    for c in assignment:
-        if not 1 <= c <= coloring.k:
-            raise ValueError(f"class index {c} outside 1..{coloring.k}")
-        counts[c - 1] += 1
+    counts = coloring.sizes()
     mono = tuple(sorted((p, v) if p < v else (v, p) for v, p in enumerate(forest.parent)
                         if p >= 0 and assignment[v] == assignment[p]))
     bad_sizes = []
@@ -347,10 +342,7 @@ def parse_coloring_text(text: str, n: int, k: int | None = None) -> EquitableCol
     """Inverse of format_coloring for a forest on n vertices; k defaults
     to the largest class index present."""
     classes = [0] * n
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = raw.split("#", 1)[0].split()
-        if not tokens:
-            continue
+    for lineno, tokens in token_lines(text):
         if len(tokens) != 2:
             raise ValueError(f"line {lineno}: expected 'vertex class'")
         try:

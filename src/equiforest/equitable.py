@@ -12,6 +12,7 @@ an edgeless forest.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress, groupby
 from operator import not_, sub
 
@@ -51,23 +52,14 @@ class DecisionReport:
     note: str = ""
 
 
-class _kept:
-    """``functools.cached_property`` without its lock: the first read
-    computes the value and stores it in the instance dict, where every
-    later read finds it before this descriptor.  (Python 3.11's
-    ``cached_property`` takes a class-wide lock on every first read.)"""
-
-    def __init__(self, compute):
-        self.compute = compute
-        self.__doc__ = compute.__doc__
-
-    def __set_name__(self, owner, name):
-        self.name = name
+class _kept(cached_property):
+    """``functools.cached_property`` without the lock that Python 3.11
+    takes on every first read; a sweep makes thousands of first reads."""
 
     def __get__(self, instance, owner=None):
         if instance is None:
             return self
-        value = instance.__dict__[self.name] = self.compute(instance)
+        value = instance.__dict__[self.attrname] = self.func(instance)
         return value
 
 

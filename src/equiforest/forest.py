@@ -20,6 +20,7 @@ from __future__ import annotations
 import gc
 import re
 import threading
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import compress, repeat
 from operator import add, eq, floordiv, itemgetter, lt, mod, mul
@@ -371,13 +372,19 @@ def _read_plain(text: str) -> Forest | None:
     return Forest._from_keys(n, keys)
 
 
+def token_lines(text: str) -> Iterator[tuple[int, list[str]]]:
+    """Yield (1-based line number, tokens) for each line of an edge list
+    or coloring file, skipping blank lines; '#' starts a comment."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        tokens = raw.split("#", 1)[0].split()
+        if tokens:
+            yield lineno, tokens
+
+
 def _parse_lines(text: str) -> tuple[int, list[tuple[int, int]]]:
     n: int | None = None
     pairs: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = raw.split("#", 1)[0].split()
-        if not tokens:
-            continue
+    for lineno, tokens in token_lines(text):
         if n is None:
             if len(tokens) != 1:
                 raise ParseError(f"line {lineno}: expected a single vertex count")

@@ -88,17 +88,14 @@ def star(d: int) -> Forest:
     """K_{1,d}: center 0 with d leaves."""
     if d < 0:
         raise ValueError("star needs d >= 0")
-    return Forest.from_edges(d + 1, ((0, i) for i in range(1, d + 1)))
+    return caterpillar(1, (d,))
 
 
 def double_star(p: int, q: int) -> Forest:
     """Adjacent centers 0 and 1 carrying p and q leaves."""
     if p < 0 or q < 0:
         raise ValueError("double_star needs p, q >= 0")
-    edges = [(0, 1)]
-    edges.extend((0, 2 + i) for i in range(p))
-    edges.extend((1, 2 + p + i) for i in range(q))
-    return Forest.from_edges(2 + p + q, edges)
+    return caterpillar(2, (p, q))
 
 
 def spider(legs: int, length: int) -> Forest:
@@ -124,9 +121,8 @@ def caterpillar(spine: int, leaf_counts) -> Forest:
     edges = [(i, i + 1) for i in range(spine - 1)]
     nxt = spine
     for i, count in enumerate(leaf_counts):
-        for _ in range(count):
-            edges.append((i, nxt))
-            nxt += 1
+        edges.extend((i, leaf) for leaf in range(nxt, nxt + count))
+        nxt += count
     return Forest.from_edges(nxt, edges)
 
 
@@ -137,24 +133,14 @@ def paper3path(ell: int) -> Forest:
         raise ValueError("paper3path needs ell >= 0")
     if ell < 3:
         warnings.warn(f"paper3path is intended for ell >= 3, got {ell}", stacklevel=2)
-    edges = [(0, 1), (1, 2)]
-    nxt = 3
-    for center in range(3):
-        for _ in range(ell):
-            edges.append((center, nxt))
-            nxt += 1
-    return Forest.from_edges(nxt, edges)
+    return caterpillar(3, (ell,) * 3)
 
 
 def random_tree(n: int, seed: int) -> Forest:
     """Uniform labeled tree on n vertices via a random Prufer word."""
     if n < 1:
         raise ValueError("random_tree needs n >= 1")
-    if n == 1:
-        return Forest.from_edges(1, ())
-    rng = SplitMix64(seed)
-    word = [rng.below(n) for _ in range(n - 2)]
-    return Forest.from_edges(n, decode_prufer(n, word))
+    return random_forest(n, 1, seed)
 
 
 def random_forest(n: int, c: int, seed: int) -> Forest:

@@ -1,5 +1,6 @@
 """Instance families: shapes, determinism, uniformity, spec parsing."""
 
+import warnings
 from collections import Counter
 
 import pytest
@@ -17,7 +18,13 @@ from equiforest.generators import (
     random_forest,
 )
 
-from reference_generators import reference_random_forest
+from reference_generators import (
+    reference_double_star,
+    reference_paper3path,
+    reference_random_forest,
+    reference_random_tree,
+    reference_star,
+)
 
 
 class TestShapes:
@@ -149,6 +156,51 @@ class TestReferenceRandomForest:
         assert vars(f) == vars(reference_random_forest(60, 25, 4))
         assert 2 in Counter(f.component_id).values()
         assert sizes and 2 not in sizes
+
+
+def _outcome(build, *args):
+    """Every field of build(*args), or its ValueError message, plus the
+    warnings it issued with the line they point at."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = ("forest", vars(build(*args)))
+        except ValueError as error:
+            result = ("error", str(error))
+    return result, [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
+
+
+class TestReferenceDelegation:
+    """``star``, ``double_star`` and ``paper3path``, which build as
+    caterpillars, and ``random_tree``, a one-component ``random_forest``,
+    against their own edge loops as they were: the same Forest in every
+    field, the same ValueError, the same warning."""
+
+    def test_star(self):
+        for d in range(-1, 61):
+            assert _outcome(generators.star, d) == _outcome(reference_star, d), d
+
+    def test_double_star(self):
+        for p in range(-1, 13):
+            for q in range(-1, 13):
+                assert _outcome(generators.double_star, p, q) == _outcome(
+                    reference_double_star, p, q), (p, q)
+
+    def test_paper3path(self):
+        for ell in range(-1, 13):
+            outcome = _outcome(generators.paper3path, ell)
+            assert outcome == _outcome(reference_paper3path, ell), ell
+            assert len(outcome[1]) == (0 <= ell < 3), ell
+
+    def test_random_tree(self):
+        for n in range(201):
+            for seed in range(25):
+                assert _outcome(generators.random_tree, n, seed) == _outcome(
+                    reference_random_tree, n, seed), (n, seed)
+
+    def test_large_random_tree(self):
+        assert vars(generators.random_tree(20_000, 7)) == vars(
+            reference_random_tree(20_000, 7))
 
 
 class TestUniformity:
