@@ -41,7 +41,6 @@ from .equitable import DecisionProfile, decide, equitable_chromatic_number
 from .forest import Forest, ForestError, parse_forest
 from .generators import FamilySpec, format_family, gen_family, parse_family
 from .harness import SUITE_MAX_N, SUITES, run_checks
-from .stability import lower_bound
 
 SHARDS_ENV = "EQUIFOREST_SHARDS"
 
@@ -86,47 +85,32 @@ def _render(value, indent: str = "") -> str:
     return f"{brackets[0]}\n{inner}{body}\n{indent}{brackets[1]}"
 
 
-def _emit(args, report: dict, human_lines: list[str]) -> None:
-    if getattr(args, "json", False):
-        if not getattr(args, "no_timing", False):
-            report = dict(report, timing_seconds=time.perf_counter() - args._t0)
+def _emit(args, instance: str | None, result: dict, lines: list[str],
+          counterexamples: list | None = None) -> None:
+    if args.json:
+        report = {"command": args._argv, "instance": instance, "result": result,
+                  "counterexamples": counterexamples or []}
+        if not args.no_timing:
+            report["timing_seconds"] = time.perf_counter() - args._t0
         print(_render(report))
     else:
-        for line in human_lines:
+        for line in lines:
             print(line)
-
-
-def _base_report(args, instance: str | None, result: dict,
-                 counterexamples: list | None = None) -> dict:
-    return {
-        "command": args._argv,
-        "instance": instance,
-        "result": result,
-        "counterexamples": counterexamples or [],
-    }
 
 
 def cmd_decide(args) -> int:
     forest, name = _load_instance(args.input)
     outcome = decide(forest, args.k)
-    result = {
-        "k": outcome.k,
-        "colorable": outcome.colorable,
-        "threshold": outcome.threshold,
-        "witness_vertex": outcome.witness_vertex,
-        "witness_alpha": outcome.witness_alpha,
-        "orientation": None if outcome.orientation is None
-        else list(map(int, outcome.orientation)),
-        "note": outcome.note,
-        "n": forest.n,
-    }
+    orientation = outcome.orientation
+    result = dict(vars(outcome), n=forest.n, orientation=None if orientation is None
+                  else list(map(int, orientation)))
     lines = [f"{name}: equitably {args.k}-colorable: {'yes' if outcome.colorable else 'no'}"]
     if not outcome.colorable and outcome.witness_vertex is not None and args.k >= 3:
         lines.append(
             f"  witness: vertex {outcome.witness_vertex} has stability"
             f" {outcome.witness_alpha} < floor(n/k) = {outcome.threshold}"
         )
-    _emit(args, _base_report(args, name, result), lines)
+    _emit(args, name, result, lines)
     return 0 if outcome.colorable else 1
 
 
@@ -155,13 +139,13 @@ def cmd_color(args) -> int:
         "branch": branch,
         "fallback_used": False,  # always false; kept for report readers
         "sizes": sizes,
-        "assignment": list(coloring.assignment),
+        "assignment": coloring.assignment,
     }
     lines = [f"{name}: equitable {coloring.k}-coloring"
              f" (branch {branch}, sizes {sizes})"]
     if not args.output and not args.json:
         lines.append(format_coloring(coloring).rstrip("\n"))
-    _emit(args, _base_report(args, name, result), lines)
+    _emit(args, name, result, lines)
     return 0
 
 
@@ -173,22 +157,23 @@ def cmd_verify(args) -> int:
     result = {
         "valid": outcome.ok,
         "k": coloring.k,
-        "monochromatic_edges": [list(e) for e in outcome.monochromatic_edges],
-        "size_violations": [list(v) for v in outcome.size_violations],
+        "monochromatic_edges": outcome.monochromatic_edges,
+        "size_violations": outcome.size_violations,
     }
     lines = [f"{name}: coloring {'valid' if outcome.ok else 'INVALID'}"]
     for u, v in outcome.monochromatic_edges:
         lines.append(f"  monochromatic edge ({u}, {v})")
     for ci, si, cj, sj in outcome.size_violations:
         lines.append(f"  classes {ci} and {cj} have sizes {si} and {sj}")
-    _emit(args, _base_report(args, name, result), lines)
+    _emit(args, name, result, lines)
     return 0 if outcome.ok else 1
 
 
 def cmd_chromatic(args) -> int:
     forest, name = _load_instance(args.input)
-    bound = lower_bound(forest)
-    value = equitable_chromatic_number(forest, bound)
+    profile = DecisionProfile(forest)
+    value = equitable_chromatic_number(forest, profile)
+    bound = profile.lower_bound
     result = {
         "equitable_chromatic_number": value,
         "lower_bound": bound.value,
@@ -198,7 +183,7 @@ def cmd_chromatic(args) -> int:
     }
     lines = [f"{name}: equitable chromatic number = {value}"
              + (" (empty forest, by convention)" if forest.n == 0 else "")]
-    _emit(args, _base_report(args, name, result), lines)
+    _emit(args, name, result, lines)
     return 0
 
 
@@ -227,7 +212,7 @@ def cmd_check_theorems(args) -> int:
         lines.append(f"  [{entry['suite']}] {entry['detail']}")
         if "edges" in entry:
             lines.append("    replay: " + entry["edges"].replace("\n", " / "))
-    _emit(args, _base_report(args, None, result, counterexamples), lines)
+    _emit(args, None, result, lines, counterexamples)
     return 0 if not counterexamples else 1
 
 
@@ -237,8 +222,7 @@ def _table_rows(family: str, lo: int, hi: int):
         forest = gen_family(spec)
         profile = DecisionProfile(forest)
         side = profile.bipartition
-        bound = lower_bound(forest)
-        chi = equitable_chromatic_number(forest, bound, profile)
+        chi = equitable_chromatic_number(forest, profile)
         # chi is 0 only for the empty forest, which every k >= 3 colors
         _, trace = construct(forest, chi or 3, profile)
         yield {
@@ -247,7 +231,7 @@ def _table_rows(family: str, lo: int, hi: int):
             "max_degree": forest.max_degree,
             "a": side.a,
             "b": side.b,
-            "lower_bound": bound.value,
+            "lower_bound": profile.lower_bound.value,
             "chi_eq": chi,
             "branch": trace.branch,
         }
@@ -263,7 +247,7 @@ def cmd_table(args) -> int:
     rows = list(_table_rows(family, int(lo_text), int(hi_text)))
     fields = ["instance", "n", "max_degree", "a", "b", "lower_bound", "chi_eq", "branch"]
     if args.json:
-        _emit(args, _base_report(args, args.range_spec, {"rows": rows}), [])
+        _emit(args, args.range_spec, {"rows": rows}, [])
     else:
         buffer = io.StringIO()
         writer = csv.DictWriter(buffer, fieldnames=fields, lineterminator="\n")
@@ -356,7 +340,7 @@ def main(argv=None) -> int:
     args._t0 = time.perf_counter()
     try:
         return args.func(args)
-    except (ForestError, ValueError, OSError, MemoryError) as exc:
+    except (ForestError, ValueError, OSError, MemoryError, OverflowError) as exc:
         reason = "out of memory for this input" if isinstance(exc, MemoryError) else exc
         print(f"error: {reason}", file=sys.stderr)
         return 2

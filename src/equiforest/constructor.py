@@ -11,6 +11,7 @@ so it raises ProofStepError with the partial trace.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import chain
 
 from .equitable import DecisionProfile, class_sizes
 from .forest import Forest, leaves_in, token_lines
@@ -106,7 +107,8 @@ class VerificationReport:
 def verify(forest: Forest, coloring: EquitableColoring) -> VerificationReport:
     """True result iff every class is stable and all pairwise class-size
     differences are at most 1; otherwise lists every monochromatic edge
-    and offending size pair.  Raises ValueError on malformed input."""
+    and offending size pair (i < j, ascending).  O(n + k*d + output) for
+    d distinct class sizes.  Raises ValueError on malformed input."""
     assignment = coloring.assignment
     if len(assignment) != forest.n:
         raise ValueError("assignment does not cover the vertex set")
@@ -117,10 +119,17 @@ def verify(forest: Forest, coloring: EquitableColoring) -> VerificationReport:
                         if p >= 0 and assignment[v] == assignment[p]))
     bad_sizes = []
     if counts and max(counts) - min(counts) > 1:
-        for i in range(coloring.k):
-            for j in range(i + 1, coloring.k):
-                if abs(counts[i] - counts[j]) > 1:
-                    bad_sizes.append((i + 1, counts[i], j + 1, counts[j]))
+        # class ids by size, ascending; seen[s] of them are <= the current i,
+        # so each i meets only the d distinct sizes, not all k classes
+        by_size: dict[int, list[int]] = {}
+        for j, size in enumerate(counts, 1):
+            by_size.setdefault(size, []).append(j)
+        seen = dict.fromkeys(by_size, 0)
+        for i, si in enumerate(counts, 1):
+            seen[si] += 1
+            later = sorted(chain.from_iterable(
+                ids[seen[s]:] for s, ids in by_size.items() if abs(s - si) > 1))
+            bad_sizes.extend((i, si, j, counts[j - 1]) for j in later)
     return VerificationReport(
         ok=not mono and not bad_sizes,
         monochromatic_edges=mono,

@@ -76,7 +76,8 @@ class DecisionProfile:
     the k >= 3 work.  Every k's report is kept too: ``decide(k)``
     builds it on the first call and returns that same object after, so
     ``construct(forest, k, profile)`` re-reads the verdict its caller
-    just asked for.
+    just asked for.  ``lower_bound``, the all-vertex scan that only the
+    chromatic number reads, is kept the same way.
 
     ``vertex`` is the unique maximum-degree vertex (None when the maximum
     degree is shared, or the forest is empty) and ``vertex_alpha`` its
@@ -106,6 +107,11 @@ class DecisionProfile:
     def bipartition(self) -> Bipartition:
         """``select_bipartition(forest)``; it does not depend on k."""
         return select_bipartition(self.forest)
+
+    @_kept
+    def lower_bound(self) -> LowerBoundReport:
+        """``stability.lower_bound(forest)``; it does not depend on k."""
+        return lower_bound(self.forest)
 
     @_kept
     def side_vertices(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -250,17 +256,14 @@ def decide1(forest: Forest) -> DecisionReport:
 
 
 def equitable_chromatic_number(forest: Forest,
-                               bound: LowerBoundReport | None = None,
                                profile: DecisionProfile | None = None) -> int:
     """Least k admitting an equitable k-coloring; 0 for the empty forest.
 
     k = 1 and k = 2 are tested explicitly; for k >= 3 the per-vertex
     threshold is monotone in k, so the answer is the larger of 3 and the
-    stability lower bound.  A caller that already holds the forest's
-    ``lower_bound`` report passes it as ``bound``, so the stability
-    profile is computed once, and one that holds its DecisionProfile
-    passes it as ``profile``, whose k = 1 and k = 2 reports are then read
-    or kept.
+    profile's stability ``lower_bound``.  A caller that holds the
+    forest's DecisionProfile passes it as ``profile``, whose k = 1 and
+    k = 2 reports and lower bound are then read or kept.
     Raises ValueError when the profile belongs to another forest object.
     """
     if profile is None:
@@ -273,6 +276,4 @@ def equitable_chromatic_number(forest: Forest,
         return 1
     if profile.decide(2).colorable:
         return 2
-    if bound is None:
-        bound = lower_bound(forest)
-    return max(3, bound.value)
+    return max(3, profile.lower_bound.value)

@@ -173,7 +173,8 @@ def random_forest(n: int, c: int, seed: int) -> Forest:
             edges.append((lo, lo + 1))
         elif size > 2:
             word = [rng.below(size) for _ in range(size - 2)]
-            edges.extend((lo + u, lo + v) for u, v in decode_prufer(size, word))
+            pairs = decode_prufer(size, word)
+            edges.extend(((lo + u, lo + v) for u, v in pairs) if lo else pairs)
     return Forest.from_edges(n, edges)
 
 

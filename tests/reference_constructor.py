@@ -7,6 +7,10 @@ leftover vertices, builds the coloring and verifies it on its own.
 ``cli.cmd_color`` made, with a "no" raised as NotColorableError in place
 of the command's message and exit code, and the branch name returned in
 a ConstructionTrace.
+
+``reference_verify`` is ``constructor.verify`` as it stood when it
+compared every pair of classes, O(k^2) once two sizes differ by more
+than one; it is the differential reference for the grouped version.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from equiforest.constructor import (
     EquitableColoring,
     NotColorableError,
     ProofStepError,
+    VerificationReport,
     realize2,
     verify,
 )
@@ -315,3 +320,28 @@ def _final_check(forest, coloring, trace):
         raise ProofStepError(
             f"assembled coloring violates the definition: {report}", trace
         )
+
+
+def reference_verify(forest: Forest, coloring: EquitableColoring) -> VerificationReport:
+    """True result iff every class is stable and all pairwise class-size
+    differences are at most 1; otherwise lists every monochromatic edge
+    and offending size pair.  Raises ValueError on malformed input."""
+    assignment = coloring.assignment
+    if len(assignment) != forest.n:
+        raise ValueError("assignment does not cover the vertex set")
+    if forest.n and coloring.k < 1:
+        raise ValueError("k must be >= 1")
+    counts = coloring.sizes()
+    mono = tuple(sorted((p, v) if p < v else (v, p) for v, p in enumerate(forest.parent)
+                        if p >= 0 and assignment[v] == assignment[p]))
+    bad_sizes = []
+    if counts and max(counts) - min(counts) > 1:
+        for i in range(coloring.k):
+            for j in range(i + 1, coloring.k):
+                if abs(counts[i] - counts[j]) > 1:
+                    bad_sizes.append((i + 1, counts[i], j + 1, counts[j]))
+    return VerificationReport(
+        ok=not mono and not bad_sizes,
+        monochromatic_edges=mono,
+        size_violations=tuple(bad_sizes),
+    )

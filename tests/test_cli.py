@@ -66,6 +66,23 @@ class TestDecideCommand:
         assert (code, out) == (2, "")
         assert err == "error: out of memory for this input\n"
 
+    @pytest.mark.parametrize("argv, files", [
+        (("decide", "--k", "3", "f.txt"), {"f.txt": "10000000000000000000\n"}),
+        (("color", "--k", "10000000000000000000", "family:path:3"), {}),
+        (("verify", "family:path:3", "c.txt"),
+         {"c.txt": "0 1\n1 2\n2 10000000000000000000\n"}),
+        (("verify", "--k", "10000000000000000000", "family:path:3", "c.txt"),
+         {"c.txt": "0 1\n1 2\n2 10000000000000000000\n"}),
+    ])
+    def test_overflow_error_exit_2(self, capsys, monkeypatch, tmp_path, argv, files):
+        # numbers past a C index: each used to escape main as a traceback
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_stdin(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("2\n0 1\n"))
         assert run(capsys, "decide", "--k", "2", "-")[0] == 0

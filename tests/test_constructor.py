@@ -50,7 +50,7 @@ from conftest import (
     random_bipartite_tree,
     seeded_random_forests,
 )
-from reference_constructor import reference_color
+from reference_constructor import reference_color, reference_verify
 
 
 def path(n):
@@ -479,6 +479,40 @@ class TestVerify:
             verify(f, EquitableColoring(2, (1, 2, 3)))
         with pytest.raises(ValueError):
             verify(f, EquitableColoring(2, (0, 1, 2)))
+
+
+class TestVerifyAgainstReference:
+    """``verify`` groups the classes by size; the parent's all-pairs loop
+    is kept as ``reference_verify``."""
+
+    def test_random_count_vectors(self):
+        rng = random.Random(23)
+        unequal = 0
+        for seed in range(3000):
+            k = rng.randint(1, 14)
+            counts = [rng.randint(0, rng.choice((1, 2, 6))) for _ in range(k)]
+            assignment = [c for c, size in enumerate(counts, 1) for _ in range(size)]
+            rng.shuffle(assignment)
+            n = len(assignment)
+            forest = (gen_family(FamilySpec("random_forest", (n, rng.randint(1, n)), seed))
+                      if n else parse_forest("0"))
+            coloring = EquitableColoring(k, tuple(assignment))
+            report = verify(forest, coloring)
+            assert report == reference_verify(forest, coloring), counts
+            unequal += max(counts) - min(counts) > 1
+        assert unequal > 1000
+
+    def test_large_k_is_not_quadratic(self):
+        # path:5 in two classes of 3 and 2, the other k - 2 classes empty:
+        # classes 1 and 2 each clash with every empty class
+        k = 100_000
+        report = verify(path(5), EquitableColoring(k, (1, 2, 1, 2, 1)))
+        assert not report.ok and report.monochromatic_edges == ()
+        violations = report.size_violations
+        assert len(violations) == 2 * (k - 2) == 199_996
+        assert violations[:2] == ((1, 3, 3, 0), (1, 3, 4, 0))
+        assert violations[k - 3:k - 1] == ((1, 3, k, 0), (2, 2, 3, 0))
+        assert violations[-1] == (2, 2, k, 0)
 
 
 class TestColoringClasses:
