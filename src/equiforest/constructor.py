@@ -10,6 +10,7 @@ so it raises ProofStepError with the partial trace.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, replace
 from itertools import chain
 
@@ -108,12 +109,25 @@ def verify(forest: Forest, coloring: EquitableColoring) -> VerificationReport:
     """True result iff every class is stable and all pairwise class-size
     differences are at most 1; otherwise lists every monochromatic edge
     and offending size pair (i < j, ascending).  O(n + k*d + output) for
-    d distinct class sizes.  Raises ValueError on malformed input."""
-    assignment = coloring.assignment
-    if len(assignment) != forest.n:
+    d distinct class sizes.  Raises ValueError on malformed input.
+    ``construct`` checks its colorings with the same pass, ``_defects``,
+    and builds no report unless one fails."""
+    if len(coloring.assignment) != forest.n:
         raise ValueError("assignment does not cover the vertex set")
     if forest.n and coloring.k < 1:
         raise ValueError("k must be >= 1")
+    mono, bad_sizes = _defects(forest, coloring)
+    return VerificationReport(
+        ok=not mono and not bad_sizes,
+        monochromatic_edges=mono,
+        size_violations=bad_sizes,
+    )
+
+
+def _defects(forest, coloring):
+    """The monochromatic edges and the size violations of a coloring
+    that covers the vertex set, as ``verify`` reports them."""
+    assignment = coloring.assignment
     counts = coloring.sizes()
     mono = tuple(sorted((p, v) if p < v else (v, p) for v, p in enumerate(forest.parent)
                         if p >= 0 and assignment[v] == assignment[p]))
@@ -130,17 +144,12 @@ def verify(forest: Forest, coloring: EquitableColoring) -> VerificationReport:
             later = sorted(chain.from_iterable(
                 ids[seen[s]:] for s, ids in by_size.items() if abs(s - si) > 1))
             bad_sizes.extend((i, si, j, counts[j - 1]) for j in later)
-    return VerificationReport(
-        ok=not mono and not bad_sizes,
-        monochromatic_edges=mono,
-        size_violations=tuple(bad_sizes),
-    )
+    return mono, tuple(bad_sizes)
 
 
-def _chunk(assignment, vertices, classes, sizes, trace):
-    """Assign ascending-id runs of the still-unassigned `vertices` to the
-    given class indices."""
-    rest = [v for v in vertices if not assignment[v]]
+def _chunk(assignment, rest, classes, sizes, trace):
+    """Assign ascending-id runs of `rest`, the vertices still unassigned,
+    to the given class indices."""
     pos = 0
     for cls in classes:
         size = sizes[cls - 1]
@@ -168,10 +177,13 @@ def construct(forest: Forest, k: int, profile: DecisionProfile | None = None
     k >= 3 the proof's construction runs: its branch places the classes
     it fixes, then the still-unassigned B- and A-vertices fill the
     branch's remaining classes in ascending id order, and the result is
-    verified.
+    checked against the definition by ``verify``'s own pass; a
+    ``VerificationReport`` is built only for the error message of a
+    coloring that fails.
 
     ``profile`` is the forest's DecisionProfile when the caller holds
-    one: its verdict, its bipartition and the bipartition's vertex lists
+    one: its verdict (``colorable(k)``; the k = 2 report for the
+    orientation), its bipartition and the bipartition's vertex lists
     are read, not computed again.  Without it a profile is built here.
     Raises ValueError when k < 1 or the profile belongs to another forest
     object, NotColorableError when the decision says no and
@@ -181,14 +193,13 @@ def construct(forest: Forest, k: int, profile: DecisionProfile | None = None
         profile = DecisionProfile(forest)
     elif profile.forest is not forest:
         raise ValueError("decision profile was built for another forest")
-    decision = profile.decide(k)
-    if not decision.colorable:
+    if not profile.colorable(k):
         raise NotColorableError(f"forest is not equitably {k}-colorable")
     n = forest.n
     if k == 1:
         return EquitableColoring(1, (1,) * n), ConstructionTrace(branch=BRANCH_EDGELESS)
     if k == 2:
-        return realize2(forest, decision), ConstructionTrace(branch=BRANCH_TWO_SIDES)
+        return realize2(forest, profile.decide(2)), ConstructionTrace(branch=BRANCH_TWO_SIDES)
     if n == 0:
         return EquitableColoring(k, ()), ConstructionTrace(branch=BRANCH_EMPTY)
     sizes = class_sizes(n, k)
@@ -218,14 +229,16 @@ def construct(forest: Forest, k: int, profile: DecisionProfile | None = None
     else:
         trace = _leaf_branches(forest, k, sizes, side, assignment, vertices_b)
         classes_b, classes_a = (), range(2, k)
+    if b != prefix_j:  # the equality branch assigns nothing before the chunks
+        vertices_b = [v for v in vertices_b if not assignment[v]]
+        vertices_a = [v for v in vertices_a if not assignment[v]]
     _chunk(assignment, vertices_b, classes_b, sizes, trace)
     _chunk(assignment, vertices_a, classes_a, sizes, trace)
     coloring = EquitableColoring(k, tuple(assignment))
-    report = verify(forest, coloring)
-    if not report.ok:
+    if any(_defects(forest, coloring)):
         raise ProofStepError(
-            f"assembled coloring violates the definition: {report}", trace
-        )
+            f"assembled coloring violates the definition: {verify(forest, coloring)}",
+            trace)
     return coloring, trace
 
 
@@ -364,6 +377,8 @@ def parse_coloring_text(text: str, n: int, k: int | None = None) -> EquitableCol
             raise ValueError(f"line {lineno}: vertex {v} out of range")
         if c < 1:
             raise ValueError(f"line {lineno}: class {c} below 1")
+        if c > sys.maxsize:
+            raise ValueError(f"line {lineno}: class {c} is too large")
         if classes[v]:
             raise ValueError(f"line {lineno}: vertex {v} assigned twice")
         classes[v] = c

@@ -73,10 +73,10 @@ class DecisionProfile:
     (``vertex_alpha``) and the construction's k-independent inputs
     (``bipartition``, ``side_vertices``, ``b_by_degree``) are computed
     when first read and then kept, so k = 1 and k = 2 pay for none of
-    the k >= 3 work.  Every k's report is kept too: ``decide(k)``
-    builds it on the first call and returns that same object after, so
-    ``construct(forest, k, profile)`` re-reads the verdict its caller
-    just asked for.  ``lower_bound``, the all-vertex scan that only the
+    the k >= 3 work.  ``colorable(k)`` reads the verdict for k >= 3
+    off the kept ``vertex_alpha``; a report is built only when
+    ``decide(k)`` is asked, on the first call, and that same object is
+    returned after.  ``lower_bound``, the all-vertex scan that only the
     chromatic number reads, is kept the same way.
 
     ``vertex`` is the unique maximum-degree vertex (None when the maximum
@@ -134,13 +134,21 @@ class DecisionProfile:
         vertex violating the floor(n/k) threshold forces more than 3
         classes and must then be the unique maximum-degree vertex, so
         only ``vertex`` is tested, and a shared maximum degree already
-        settles the answer as yes.  The report is kept: a second call
-        with the same k returns the same object.
+        settles the answer as yes (``colorable``).  The report is kept:
+        a second call with the same k returns the same object.
         """
         report = self._reports.get(k)
         if report is None:
             report = self._reports[k] = self._decide(k)
         return report
+
+    def colorable(self, k: int) -> bool:
+        """``decide(k).colorable``.  For k >= 3 it is read off the kept
+        ``vertex_alpha`` and floor(n/k), and no report is built; k = 1
+        and k = 2 read ``decide(k)``."""
+        if k < 3:
+            return self.decide(k).colorable
+        return self.vertex is None or self.vertex_alpha >= self.forest.n // k
 
     def _decide(self, k: int) -> DecisionReport:
         if k < 1:
@@ -150,21 +158,16 @@ class DecisionProfile:
         if k == 2:
             return decide2(self.forest)
         n = self.forest.n
-        if n == 0:
-            return DecisionReport(k=k, colorable=True, threshold=0, note="empty forest")
         threshold = n // k
-        if self.vertex is None:
-            return DecisionReport(
-                k=k, colorable=True, threshold=threshold,
-                note="criterion satisfied (maximum degree not unique)",
-            )
-        if self.vertex_alpha < threshold:
+        if not self.colorable(k):
             return DecisionReport(
                 k=k, colorable=False, threshold=threshold,
                 witness_vertex=self.vertex, witness_alpha=self.vertex_alpha,
             )
-        return DecisionReport(k=k, colorable=True, threshold=threshold,
-                              note="criterion satisfied")
+        note = ("empty forest" if n == 0 else
+                "criterion satisfied (maximum degree not unique)" if self.vertex is None
+                else "criterion satisfied")
+        return DecisionReport(k=k, colorable=True, threshold=threshold, note=note)
 
 
 def decide(forest: Forest, k: int) -> DecisionReport:
@@ -272,8 +275,8 @@ def equitable_chromatic_number(forest: Forest,
         raise ValueError("decision profile was built for another forest")
     if forest.n == 0:
         return 0
-    if profile.decide(1).colorable:
+    if profile.colorable(1):
         return 1
-    if profile.decide(2).colorable:
+    if profile.colorable(2):
         return 2
     return max(3, profile.lower_bound.value)

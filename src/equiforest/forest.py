@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import gc
 import re
+import sys
 import threading
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -356,6 +357,8 @@ def _read_plain(text: str) -> Forest | None:
     start = header.end()
     try:  # int() refuses digit strings past sys.get_int_max_str_digits()
         n = int(header.group(1))
+        if n > sys.maxsize:  # the line reader names the line
+            return None
         while start < len(text):
             end = text.find("\n", start + _CHUNK) + 1 or len(text)
             lines = text[start:end]
@@ -392,6 +395,8 @@ def _parse_lines(text: str) -> tuple[int, list[tuple[int, int]]]:
                 n = int(tokens[0])
             except ValueError:
                 raise ParseError(f"line {lineno}: vertex count is not an integer") from None
+            if n > sys.maxsize:
+                raise ParseError(f"line {lineno}: vertex count {n} is too large")
             continue
         if len(tokens) != 2:
             raise ParseError(f"line {lineno}: expected 'u v'")

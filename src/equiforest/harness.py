@@ -184,7 +184,8 @@ def check_main(max_n: int = 8, shards: int = 1, shard_index: int = 0,
     a counterexample.
     `checked` counts only the k >= 3 pairs.  Each tree is decided and
     constructed through one DecisionProfile, so its alpha_x and its
-    bipartition are computed once for all k, and searched through one
+    bipartition are computed once for all k and each verdict is read
+    with ``colorable(k)``, building no report, and searched through one
     EquitableSearch, so its adjacency masks and vertex order are built
     once for k = 2..n.
     """
@@ -194,7 +195,7 @@ def check_main(max_n: int = 8, shards: int = 1, shard_index: int = 0,
     for forest in _trees(report, shards, shard_index):
         profile = DecisionProfile(forest)
         search = EquitableSearch(forest)
-        colorable2 = profile.decide(2).colorable
+        colorable2 = profile.colorable(2)
         two_color_pairs += 1
         if colorable2 != (search.coloring(2) is not None):
             report.counterexamples.append(
@@ -203,7 +204,7 @@ def check_main(max_n: int = 8, shards: int = 1, shard_index: int = 0,
         elif colorable2 and construct_yes:
             _construct_and_verify(report, forest, 2, profile)
         for k in range(3, forest.n + 1):
-            verdict = profile.decide(k).colorable
+            verdict = profile.colorable(k)
             truth = search.coloring(k) is not None
             report.checked += 1
             if verdict != truth:
@@ -261,10 +262,10 @@ def _cl2_check(forest: Forest) -> dict | None:
     if abs(sides.first[0] - sides.second[0]) > 1:
         return None
     profile = DecisionProfile(forest)
-    if not profile.decide(2).colorable:
+    if not profile.colorable(2):
         return _payload(forest, "balanced tree not 2-colorable", 2)
     for k in range(3, forest.n + 1):
-        if not profile.decide(k).colorable:
+        if not profile.colorable(k):
             return _payload(forest, "balanced tree rejected", k)
     return None
 
@@ -293,7 +294,7 @@ def _cl3_check(forest: Forest) -> dict | None:
     threshold = thresholds.pop()
     profile = DecisionProfile(forest)
     for k in range(3, n + 1):
-        if profile.decide(k).colorable != (k >= threshold):
+        if profile.colorable(k) != (k >= threshold):
             return _payload(forest, f"threshold {threshold} not exact", k)
     return None
 

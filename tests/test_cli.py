@@ -75,13 +75,19 @@ class TestDecideCommand:
          {"c.txt": "0 1\n1 2\n2 10000000000000000000\n"}),
     ])
     def test_overflow_error_exit_2(self, capsys, monkeypatch, tmp_path, argv, files):
-        # numbers past a C index: each used to escape main as a traceback
+        # numbers past a C index: each used to escape main as a traceback;
+        # one read from a file is rejected with its line
         for name, text in files.items():
             (tmp_path / name).write_text(text)
         monkeypatch.chdir(tmp_path)
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
+        for name in files:
+            assert err == {
+                "f.txt": "error: line 1: vertex count 10000000000000000000 is too large\n",
+                "c.txt": "error: line 3: class 10000000000000000000 is too large\n",
+            }[name]
 
     def test_stdin(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("2\n0 1\n"))

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import sys
 from collections import Counter
 from dataclasses import replace
 
@@ -41,7 +42,7 @@ from equiforest.constructor import (
     format_coloring,
     parse_coloring_text,
 )
-from equiforest.generators import FamilySpec, gen_family
+from equiforest.generators import FamilySpec, gen_family, parse_family
 
 from conftest import (
     all_labeled_forests,
@@ -326,6 +327,46 @@ class TestSplitBranchFailures:
             branch=BRANCH_SPLIT, split_index=2, donors=frozenset({0})))
 
 
+class TestFinalCheckFailure:
+    """construct's check of the assembled coloring, which no valid
+    construction trips: an assembly spoiled to put the two ends of an
+    edge in one class raises ProofStepError with verify's report of that
+    coloring and the branch's trace."""
+
+    @pytest.mark.parametrize("spec, k, branch", [
+        ("star:6", 4, BRANCH_EQUALITY),
+        ("path:7", 3, BRANCH_SPLIT),
+        ("caterpillar:4,3,0,3,0", 3, BRANCH_HARVEST),
+        ("caterpillar:5,5,0,1,0,1", 3, BRANCH_PIVOT_SINGLE),
+        ("caterpillar:3,2,1,6", 3, BRANCH_PIVOT_MULTI),
+    ])
+    def test_message_and_trace(self, monkeypatch, spec, k, branch):
+        f = gen_family(parse_family("family:" + spec))
+        _, trace = construct(f, k)
+        assert trace.branch == branch
+        u, v = f.edges[0]
+        calls = []
+        real = constructor._chunk
+
+        def spoiling(*args):
+            real(*args)
+            calls.append(args)
+            assignment = args[0]
+            if all(assignment):  # the last chunk is placed
+                assignment[v] = assignment[u]
+
+        monkeypatch.setattr(constructor, "_chunk", spoiling)
+        with pytest.raises(ProofStepError) as failure:
+            construct(f, k)
+        assignment, chunk_trace = calls[-1][0], calls[-1][-1]
+        report = verify(f, EquitableColoring(k, tuple(assignment)))
+        assert (u, v) in report.monochromatic_edges
+        assert str(failure.value) == (
+            "assembled coloring violates the definition: " + repr(report))
+        assert failure.value.trace is chunk_trace
+        assert failure.value.trace == trace
+
+
 def _numbered_from(first, names, rows):
     """pytest.param rows carrying pytest's own ids, numbered from `first`,
     so that rows keep their ids when rows before them are dropped."""
@@ -552,3 +593,8 @@ class TestColoringFiles:
             parse_coloring_text("0 0\n0 1\n1 2\n2 1\n", 3)
         with pytest.raises(ValueError, match="line 2: vertex and class must be integers"):
             parse_coloring_text("0 1\n1 x\n", 2)
+        # a class past a C index is rejected with its line, not by Python
+        big = sys.maxsize + 1
+        with pytest.raises(ValueError) as exc:
+            parse_coloring_text(f"0 1\n1 {big}\n", 2)
+        assert str(exc.value) == f"line 2: class {big} is too large"

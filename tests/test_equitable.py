@@ -398,6 +398,44 @@ class TestKeptReports:
                 built.clear()
 
 
+class TestColorable:
+    """colorable(k) is decide(k).colorable, from a fresh profile and from
+    one shared profile asked in either order; criterion 1 compares
+    colorable with the oracle, so it still compares decide."""
+
+    @staticmethod
+    def _check(f):
+        ks = range(1, f.n + 2)
+        for k in ks:
+            assert (DecisionProfile(f).colorable(k)
+                    == DecisionProfile(f).decide(k).colorable), (f, k)
+        verdict_first, report_first = DecisionProfile(f), DecisionProfile(f)
+        for k in ks:
+            verdict = verdict_first.colorable(k)
+            assert verdict == verdict_first.decide(k).colorable, (f, k)
+            report = report_first.decide(k)
+            assert report_first.colorable(k) == report.colorable == verdict, (f, k)
+
+    def test_all_labeled_forests(self):
+        self._check(parse_forest("0"))  # all_labeled_forests(0) is empty
+        for n in range(1, 8):
+            for f in all_labeled_forests(n):
+                self._check(f)
+
+    def test_seeded_random_forests(self):
+        for f in seeded_random_forests():
+            self._check(f)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_rejects_k_below_one_like_decide(self, k):
+        errors = []
+        for ask in (DecisionProfile.colorable, DecisionProfile.decide):
+            with pytest.raises(ValueError) as exc:
+                ask(DecisionProfile(path(3)), k)
+            errors.append(str(exc.value))
+        assert errors == ["k must be >= 1"] * 2
+
+
 class TestDecisionProfileAgainstReference:
     """DecisionProfile against the per-k decision it replaced: an equal
     DecisionReport (every compared field, note included) at every k >= 3.

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from equiforest import (
     select_bipartition,
     serialize_forest,
 )
+import equiforest.forest as forest_module
 from equiforest.forest import SideProfile, _walk
 from equiforest.generators import FamilySpec, gen_family
 from equiforest.oracle import labeled_trees_in_range, unlabeled_trees
@@ -69,6 +71,18 @@ class TestParse:
             parse_forest("3\n0 1 2")
         with pytest.raises(ParseError):
             parse_forest("3\nzero one")
+
+    @pytest.mark.parametrize("text, line", [
+        ("{}\n", 1),                      # the plain layout
+        ("\n \n{}\n0 1\n", 3),             # plain, after blank lines
+        ("# a forest\n{}  # order\n", 2),  # read line by line
+    ])
+    def test_vertex_count_past_a_c_index_names_its_line(self, text, line):
+        big = sys.maxsize + 1
+        with pytest.raises(ParseError) as exc:
+            parse_forest(text.format(big))
+        assert str(exc.value) == f"line {line}: vertex count {big} is too large"
+        assert not forest_module._read_plain(text.format(big))
 
     def test_semantic_errors(self):
         with pytest.raises(ForestError, match="out of range"):

@@ -153,8 +153,9 @@ class TestSuites:
         assert parse_forest(entry["edges"]).n == entry["n"] == 3  # replayable
 
     def test_main_verifies_each_coloring_once(self, monkeypatch):
-        # construct verifies its k >= 3 colorings itself; the harness
-        # verifies only the k = 2 realizations
+        # construct checks its k >= 3 colorings itself; the harness
+        # verifies only the k = 2 realizations.  Both go through verify's
+        # one checking pass, which is what is counted.
         calls = {"construct": 0, "verify": 0}
 
         def counting(name, original):
@@ -164,9 +165,7 @@ class TestSuites:
             return wrapped
 
         monkeypatch.setattr(harness, "construct", counting("construct", constructor.construct))
-        verify = counting("verify", constructor.verify)
-        monkeypatch.setattr(harness, "verify", verify)
-        monkeypatch.setattr(constructor, "verify", verify)
+        monkeypatch.setattr(constructor, "_defects", counting("verify", constructor._defects))
         report = check_main(5, construct_yes=True)
         assert report.ok
         assert calls["construct"] > 0 and calls["verify"] == calls["construct"], calls
@@ -208,10 +207,10 @@ class TestSuites:
         path = parse_forest("4\n0 1\n1 2\n2 3\n")
 
         class Planted(equitable.DecisionProfile):
-            def decide(self, k):
+            def colorable(self, k):
                 if k == 3 and self.forest == path:
-                    return DecisionReport(k=k, colorable=False)
-                return super().decide(k)
+                    return False
+                return super().colorable(k)
 
         class PlantedSearch(oracle.EquitableSearch):
             def __init__(self, forest):
