@@ -13,8 +13,7 @@ or usage error, 3 construction step failure.
 
 ``main(argv)`` may be called many times in one process: the argument
 parser is built on the first call and reused, while the
-``EQUIFOREST_SHARDS`` default is read on every call.  ``build_parser()``
-returns a fresh parser.
+``EQUIFOREST_SHARDS`` default is read on every call.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from .constructor import (
     verify,
 )
 from .equitable import DecisionProfile, decide, equitable_chromatic_number
-from .forest import Forest, ForestError, parse_forest
+from .forest import Forest, parse_forest
 from .generators import FamilySpec, format_family, gen_family, parse_family
 from .harness import SUITE_MAX_N, SUITES, run_checks
 
@@ -115,8 +114,6 @@ def cmd_decide(args) -> int:
 
 
 def cmd_color(args) -> int:
-    if args.k < 1:
-        raise ValueError("k must be >= 1")
     forest, name = _load_instance(args.input)
     try:
         coloring, trace = construct(forest, args.k)
@@ -257,12 +254,7 @@ def cmd_table(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """A fresh parser; the --shards default is the shard environment
-    variable as it reads now."""
-    return _build_parsers()[0]
-
-
+@functools.cache
 def _build_parsers() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     # the parser and its check-theorems subparser, whose --shards default
     # main() refreshes on every call
@@ -309,10 +301,7 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
                         + ", ".join(f"{k}<={v}" for k, v in SUITE_MAX_N.items()) + ")")
     p.add_argument("--which", default=",".join(SUITES),
                    help="comma-separated subset of " + ",".join(SUITES))
-    # argparse converts a string default with `type` only when this
-    # subcommand is chosen, so a bad value is a usage error here alone
     p.add_argument("--shards", type=int,
-                   default=os.environ.get(SHARDS_ENV, "1"),
                    help=f"split enumeration into this many ranges (env {SHARDS_ENV})")
     p.add_argument("--shard-index", type=int, default=0)
     common(p)
@@ -328,19 +317,18 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     return parser, check_parser
 
 
-_shared_parsers = functools.cache(_build_parsers)
-
-
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser, check_parser = _shared_parsers()
+    parser, check_parser = _build_parsers()
+    # argparse converts a string default with `type` only when its
+    # subcommand is chosen, so a bad value is a usage error there alone
     check_parser.set_defaults(shards=os.environ.get(SHARDS_ENV, "1"))
     args = parser.parse_args(argv)
     args._argv = argv
     args._t0 = time.perf_counter()
     try:
         return args.func(args)
-    except (ForestError, ValueError, OSError, MemoryError, OverflowError) as exc:
+    except (ValueError, OSError, MemoryError, OverflowError) as exc:
         reason = "out of memory for this input" if isinstance(exc, MemoryError) else exc
         print(f"error: {reason}", file=sys.stderr)
         return 2

@@ -109,13 +109,15 @@ def verify(forest: Forest, coloring: EquitableColoring) -> VerificationReport:
     """True result iff every class is stable and all pairwise class-size
     differences are at most 1; otherwise lists every monochromatic edge
     and offending size pair (i < j, ascending).  O(n + k*d + output) for
-    d distinct class sizes.  Raises ValueError on malformed input.
-    ``construct`` checks its colorings with the same pass, ``_defects``,
-    and builds no report unless one fails."""
+    d distinct class sizes.  Raises ValueError on malformed input and
+    for k > sys.maxsize.  ``construct`` checks its colorings with the
+    same pass, ``_defects``, and builds no report unless one fails."""
     if len(coloring.assignment) != forest.n:
         raise ValueError("assignment does not cover the vertex set")
     if forest.n and coloring.k < 1:
         raise ValueError("k must be >= 1")
+    if coloring.k > sys.maxsize:
+        raise ValueError(f"k {coloring.k} is too large")
     mono, bad_sizes = _defects(forest, coloring)
     return VerificationReport(
         ok=not mono and not bad_sizes,
@@ -185,9 +187,10 @@ def construct(forest: Forest, k: int, profile: DecisionProfile | None = None
     one: its verdict (``colorable(k)``; the k = 2 report for the
     orientation), its bipartition and the bipartition's vertex lists
     are read, not computed again.  Without it a profile is built here.
-    Raises ValueError when k < 1 or the profile belongs to another forest
-    object, NotColorableError when the decision says no and
-    ProofStepError when a construction step's feasibility check fails.
+    Raises ValueError when k < 1, k > sys.maxsize or the profile belongs
+    to another forest object, NotColorableError when the decision says
+    no and ProofStepError when a construction step's feasibility check
+    fails.
     """
     if profile is None:
         profile = DecisionProfile(forest)
@@ -200,6 +203,8 @@ def construct(forest: Forest, k: int, profile: DecisionProfile | None = None
         return EquitableColoring(1, (1,) * n), ConstructionTrace(branch=BRANCH_EDGELESS)
     if k == 2:
         return realize2(forest, profile.decide(2)), ConstructionTrace(branch=BRANCH_TWO_SIDES)
+    if k > sys.maxsize:
+        raise ValueError(f"k {k} is too large")
     if n == 0:
         return EquitableColoring(k, ()), ConstructionTrace(branch=BRANCH_EMPTY)
     sizes = class_sizes(n, k)

@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .constructor import ProofStepError, construct, verify
-from .equitable import DecisionProfile, decide
+from .equitable import DecisionProfile
 from .forest import Forest, max_degree_vertices, serialize_forest
 from .oracle import (
     EquitableSearch,
@@ -247,7 +247,7 @@ def _bg_check(forest: Forest) -> dict | None:
     n, dmax = forest.n, forest.max_degree
     if not (n >= 3 * dmax - 8 or n == 3 * dmax - 10):
         return None
-    if decide(forest, 3).colorable:
+    if DecisionProfile(forest).colorable(3):
         return None
     return _payload(forest, f"Delta={dmax} qualifies but decide says no", 3)
 

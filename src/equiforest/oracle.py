@@ -112,11 +112,6 @@ class EquitableSearch:
                 return None
 
 
-def oracle_coloring(forest: Forest, k: int) -> tuple[int, ...] | None:
-    """Equitable k-coloring found by exhaustive search, or None (n <= 20)."""
-    return EquitableSearch(forest).coloring(k)
-
-
 def oracle_exists(forest: Forest, k: int) -> bool:
     """True iff an equitable k-coloring exists; exhaustive search, n <= 20."""
     return EquitableSearch(forest).coloring(k) is not None

@@ -2,6 +2,10 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -14,7 +18,7 @@ import equiforest.forest as forest_module
 import equiforest.stability as stability
 from equiforest import serialize_forest
 from equiforest.cli import main, run_report_schema
-from equiforest.constructor import ProofStepError
+from equiforest.constructor import ConstructionTrace, ProofStepError
 from equiforest.generators import gen_family, parse_family
 
 from test_golden import golden_commands, run_cli
@@ -73,21 +77,32 @@ class TestDecideCommand:
          {"c.txt": "0 1\n1 2\n2 10000000000000000000\n"}),
         (("verify", "--k", "10000000000000000000", "family:path:3", "c.txt"),
          {"c.txt": "0 1\n1 2\n2 10000000000000000000\n"}),
+        (("color", "--k", "10000000000000000000", "family:path:0"), {}),
+        (("verify", "--k", "10000000000000000000", "family:path:3", "ok.txt"),
+         {"ok.txt": "0 1\n1 2\n2 1\n"}),
     ])
     def test_overflow_error_exit_2(self, capsys, monkeypatch, tmp_path, argv, files):
         # numbers past a C index: each used to escape main as a traceback;
-        # one read from a file is rejected with its line
+        # one read from a file is rejected with its line, a --k as too large
         for name, text in files.items():
             (tmp_path / name).write_text(text)
         monkeypatch.chdir(tmp_path)
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
-        assert err.startswith("error: ") and err.count("\n") == 1
-        for name in files:
-            assert err == {
-                "f.txt": "error: line 1: vertex count 10000000000000000000 is too large\n",
-                "c.txt": "error: line 3: class 10000000000000000000 is too large\n",
-            }[name]
+        line_errors = {
+            "f.txt": "line 1: vertex count 10000000000000000000 is too large",
+            "c.txt": "line 3: class 10000000000000000000 is too large",
+        }
+        reason = next((line_errors[name] for name in files if name in line_errors),
+                      "k 10000000000000000000 is too large")
+        assert err == f"error: {reason}\n"
+
+    def test_k_past_c_index_decides_yes(self, capsys):
+        # floor(n/k) = 0, so any forest is equitably k-colorable
+        code, out, err = run(capsys, "decide", "--k", "10000000000000000000",
+                             "family:path:3")
+        assert (code, err) == (0, "")
+        assert out == "family:path:3: equitably 10000000000000000000-colorable: yes\n"
 
     def test_stdin(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("2\n0 1\n"))
@@ -142,13 +157,21 @@ class TestColorCommand:
         assert code == 0 and "two-sides" in out
 
     def test_strict_step_failure_exit_3(self, capsys, monkeypatch):
-        def boom(forest, k):
-            raise ProofStepError("synthetic step failure", None)
+        # without a trace, and with the partial trace of a split branch
+        partial = ConstructionTrace(branch="split", split_index=2, donors=frozenset({0}))
+        trace_line = (
+            "  trace: ConstructionTrace(branch='split', split_index=2,"
+            " donors=frozenset({0}), top_fill=None, bottom_fill=None, leaves_a=None,"
+            " pivot=None, pivot_set=None, fallback_used=False)\n")
+        for trace, trace_lines in ((None, ""), (partial, trace_line)):
+            def boom(forest, k, trace=trace):
+                raise ProofStepError("synthetic step failure", trace)
 
-        monkeypatch.setattr(cli, "construct", boom)
-        code, _, err = run(capsys, "color", "--k", "3", "family:path:6")
-        assert code == 3
-        assert "construction step failed" in err
+            monkeypatch.setattr(cli, "construct", boom)
+            code, out, err = run(capsys, "color", "--k", "3", "family:path:6")
+            assert (code, out) == (3, "")
+            assert err == ("family:path:6: construction step failed: synthetic step failure\n"
+                           + trace_lines)
 
 
 class TestVerifyCommand:
@@ -246,21 +269,12 @@ class TestCheckTheoremsCommand:
         assert code == 2
         assert "need shards >= 1 and 0 <= shard_index < shards" in err
 
-    def test_shards_env_default(self, capsys, monkeypatch):
-        monkeypatch.setenv(cli.SHARDS_ENV, "2")
-        parser = cli.build_parser()
-        args = parser.parse_args(["check-theorems", "--which", "equiv"])
-        assert args.shards == 2
-
     def test_bad_shards_env_is_usage_error_exit_2(self, capsys, monkeypatch):
         monkeypatch.setenv(cli.SHARDS_ENV, "x")
         with pytest.raises(SystemExit) as exc:
             main(["check-theorems", "--which", "equiv"])
         assert exc.value.code == 2
         assert "--shards" in capsys.readouterr().err
-
-    def test_build_parser_is_fresh(self):
-        assert cli.build_parser() is not cli.build_parser()
 
     def test_shards_env_read_per_call(self, capsys, monkeypatch):
         seen = []
@@ -281,11 +295,14 @@ class TestCheckTheoremsCommand:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         reused = capsys.readouterr()
-        with pytest.raises(SystemExit) as fresh_exc:
-            cli.build_parser().parse_args(argv)
-        fresh = capsys.readouterr()
-        assert exc.value.code == fresh_exc.value.code == 2
-        assert (reused.out, reused.err) == (fresh.out, fresh.err)
+        # a fresh process builds its parser anew
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        fresh = subprocess.run([sys.executable, "-m", "equiforest.cli", *argv],
+                               env=dict(os.environ, PYTHONPATH=path),
+                               capture_output=True, text=True, timeout=60)
+        assert exc.value.code == fresh.returncode == 2
+        assert (reused.out, reused.err) == (fresh.stdout, fresh.stderr)
         assert "invalid int value: 'x'" in reused.err
 
     def test_bad_shards_env_ignored_by_other_commands(self, capsys, monkeypatch):

@@ -32,7 +32,6 @@ re-record and list the re-recorded commands in CHANGES.md:
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import sys
@@ -142,26 +141,15 @@ def stdin_commands() -> list[tuple[str, tuple[str, ...]]]:
 _CHECK = ("check-theorems", "--which", "lemma,equiv", "--max-n", "5") + _JSON
 
 
-def command_digest(argv) -> str:
-    """``run_digest(argv)``; with ``--output`` it also covers the bytes
-    written, and the file is removed after."""
-    digest = run_digest(argv)
-    if "--output" not in argv:
-        return digest
-    written = Path(_OUTPUT).read_text(encoding="utf-8")
-    os.remove(_OUTPUT)
-    payload = json.dumps([digest, written])
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-def replay():
-    """Run every command in the current working directory, which must
-    hold the coloring files; the shard-count variable is restored after."""
+def replay(run=run_digest):
+    """Run every command through ``run`` in the current working directory,
+    which must hold the coloring files; the shard-count variable is
+    restored after."""
     for argv in digest_commands():
-        yield " ".join(argv), command_digest(argv)
+        yield " ".join(argv), run(argv)
     texts = {name: serialize_forest(gen_family(parse_family(spec))) for name, spec in STDIN}
     for name, argv in stdin_commands():
-        yield f"{' '.join(argv)} < {name}", run_digest(argv, texts[name])
+        yield f"{' '.join(argv)} < {name}", run(argv, texts[name])
     saved = os.environ.pop(cli.SHARDS_ENV, None)
     try:
         for step, value in enumerate(SHARDS_SEQUENCE):
@@ -170,7 +158,7 @@ def replay():
             else:
                 os.environ[cli.SHARDS_ENV] = value
             key = f"{step}: {cli.SHARDS_ENV}={value or ''} {' '.join(_CHECK)}"
-            yield key, run_digest(_CHECK)
+            yield key, run(_CHECK)
     finally:
         os.environ.pop(cli.SHARDS_ENV, None)
         if saved is not None:

@@ -7,7 +7,6 @@ import equiforest.equitable as equitable
 import equiforest.harness as harness
 import equiforest.oracle as oracle
 from equiforest.constructor import ProofStepError
-from equiforest.equitable import DecisionReport
 from equiforest.forest import parse_forest
 from equiforest.harness import (
     SUITE_MAX_N,
@@ -90,17 +89,18 @@ class TestUnlabeledTrees:
 
 @pytest.fixture(scope="module")
 def planted_bg_sweep():
-    """check_bg(10) with a planted fault: decide rejects the 10-vertex
-    path, the only tree of that order with maximum degree 2."""
-    real = harness.decide
+    """check_bg(10) with a planted fault: the decision rejects the
+    10-vertex path, the only tree of that order with maximum degree 2,
+    at k = 3."""
 
-    def planted(forest, k):
-        if forest.n == 10 and forest.max_degree == 2:
-            return DecisionReport(k=k, colorable=False)
-        return real(forest, k)
+    class Planted(equitable.DecisionProfile):
+        def colorable(self, k):
+            if k == 3 and self.forest.n == 10 and self.forest.max_degree == 2:
+                return False
+            return super().colorable(k)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(harness, "decide", planted)
+        patch.setattr(harness, "DecisionProfile", Planted)
         return check_bg(10)
 
 

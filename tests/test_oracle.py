@@ -11,7 +11,6 @@ from equiforest import (
     num_labeled_trees,
     oracle_alpha,
     oracle_alpha_x,
-    oracle_coloring,
     oracle_exists,
     parse_forest,
 )
@@ -101,7 +100,7 @@ class TestOracleExists:
 
     def test_star5_four_colorable_with_sizes(self):
         assert oracle_exists(star(5), 4) is True
-        coloring = oracle_coloring(star(5), 4)
+        coloring = EquitableSearch(star(5)).coloring(4)
         counts = sorted(
             [coloring.count(c) for c in range(1, 5)]
         )
@@ -140,7 +139,7 @@ class TestBacktrackAgainstReference:
     @staticmethod
     def _same(f, found):
         for k in range(1, f.n + 1):
-            witness = oracle_coloring(f, k)
+            witness = EquitableSearch(f).coloring(k)
             assert witness == reference_oracle.backtrack_equitable(f, k), (f, k)
             found[witness is not None] += 1
 
@@ -186,10 +185,7 @@ class TestEquitableSearch:
                 self._reused(f, found)
         assert all(found), found
 
-    @pytest.mark.parametrize("entry", [
-        oracle_coloring,
-        lambda f, k: EquitableSearch(f).coloring(k),
-    ])
+    @pytest.mark.parametrize("entry", [lambda f, k: EquitableSearch(f).coloring(k)])
     def test_entry_point_guards(self, entry):
         with pytest.raises(ValueError, match="k must be >= 1"):
             entry(path(3), 0)

@@ -61,11 +61,11 @@ def edge_lists() -> tuple[tuple[str, str], ...]:
     return tuple(texts)
 
 
-def replay():
+def replay(run=run_digest):
     for name, text in edge_lists():
         for command in COMMANDS:
             argv = (*command, "-", "--json", "--no-timing")
-            yield f"{' '.join(argv)} < {name}", run_digest(argv, text)
+            yield f"{' '.join(argv)} < {name}", run(argv, text)
 
 
 def test_inputs_have_the_intended_shapes():

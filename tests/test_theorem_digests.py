@@ -68,8 +68,8 @@ def command_key(argv) -> str:
     return " ".join(argv)
 
 
-def replay():
-    return ((command_key(argv), run_digest(argv)) for argv in digest_commands())
+def replay(run=run_digest):
+    return ((command_key(argv), run(argv)) for argv in digest_commands())
 
 
 def record() -> None:
