@@ -83,6 +83,11 @@ class ConstructionTrace:
     and pivot_set: the donor vertex whose stable set is the smallest
     class, and that stable set.  fallback_used: always False; a failed
     step raises instead, and the field stays for report compatibility.
+
+    A branch whose trace holds only its branch and split index
+    (``edgeless``, ``two-sides``, ``empty``, and ``equality`` for each
+    split index) returns one shared instance, built once: compare traces
+    with ``==``, not ``is``.
     """
 
     branch: str
@@ -94,6 +99,12 @@ class ConstructionTrace:
     pivot: int | None = None
     pivot_set: frozenset[int] | None = None
     fallback_used: bool = False
+
+
+_EDGELESS_TRACE = ConstructionTrace(branch=BRANCH_EDGELESS)
+_TWO_SIDES_TRACE = ConstructionTrace(branch=BRANCH_TWO_SIDES)
+_EMPTY_TRACE = ConstructionTrace(branch=BRANCH_EMPTY)
+_equality_traces: dict[int, ConstructionTrace] = {}  # by split index
 
 
 @dataclass(frozen=True)
@@ -200,13 +211,13 @@ def construct(forest: Forest, k: int, profile: DecisionProfile | None = None
         raise NotColorableError(f"forest is not equitably {k}-colorable")
     n = forest.n
     if k == 1:
-        return EquitableColoring(1, (1,) * n), ConstructionTrace(branch=BRANCH_EDGELESS)
+        return EquitableColoring(1, (1,) * n), _EDGELESS_TRACE
     if k == 2:
-        return realize2(forest, profile.decide(2)), ConstructionTrace(branch=BRANCH_TWO_SIDES)
+        return realize2(forest, profile.decide(2)), _TWO_SIDES_TRACE
     if k > sys.maxsize:
         raise ValueError(f"k {k} is too large")
     if n == 0:
-        return EquitableColoring(k, ()), ConstructionTrace(branch=BRANCH_EMPTY)
+        return EquitableColoring(k, ()), _EMPTY_TRACE
     sizes = class_sizes(n, k)
     side = profile.bipartition
     b = side.b
@@ -225,7 +236,10 @@ def construct(forest: Forest, k: int, profile: DecisionProfile | None = None
     # fills these class ranges
     assignment = [0] * n
     if b == prefix_j:
-        trace = ConstructionTrace(branch=BRANCH_EQUALITY, split_index=j)
+        trace = _equality_traces.get(j)
+        if trace is None:
+            trace = _equality_traces[j] = ConstructionTrace(
+                branch=BRANCH_EQUALITY, split_index=j)
         classes_b, classes_a = range(1, j + 1), range(j + 1, k + 1)
     elif j > 1:
         trace = _split_branch(forest, sizes, side, j, prefix_j, assignment,

@@ -16,7 +16,7 @@ from functools import cached_property
 from itertools import compress, groupby
 from operator import not_, sub
 
-from .forest import Bipartition, Forest, max_degree_vertices, select_bipartition
+from .forest import Bipartition, Forest, select_bipartition
 from .stability import LowerBoundReport, alpha_x, lower_bound
 
 
@@ -69,7 +69,8 @@ class DecisionProfile:
     The criterion for k >= 3 reads one number: alpha_x at the unique
     maximum-degree vertex, or nothing when that vertex is not unique.
     So one degree scan and at most one ``alpha_x`` walk answer
-    ``decide(k)`` for every k >= 3.  The scan (``vertex``), the walk
+    ``decide(k)`` for every k >= 3.  The scan (``degrees``, one tuple
+    that both ``vertex`` and ``b_by_degree`` read), the walk
     (``vertex_alpha``) and the construction's k-independent inputs
     (``bipartition``, ``side_vertices``, ``b_by_degree``) are computed
     when first read and then kept, so k = 1 and k = 2 pay for none of
@@ -93,10 +94,16 @@ class DecisionProfile:
         self._reports: dict[int, DecisionReport] = {}
 
     @_kept
+    def degrees(self) -> tuple[int, ...]:
+        """The degree of each vertex: the one degree scan."""
+        return tuple(map(len, self.forest.adjacency))
+
+    @_kept
     def vertex(self) -> int | None:
         """The unique maximum-degree vertex, or None."""
-        candidates = max_degree_vertices(self.forest)
-        return candidates[0] if len(candidates) == 1 else None
+        degrees = self.degrees
+        top = max(degrees, default=0)
+        return degrees.index(top) if degrees.count(top) == 1 else None
 
     @_kept
     def vertex_alpha(self) -> int | None:
@@ -123,9 +130,8 @@ class DecisionProfile:
     @_kept
     def b_by_degree(self) -> tuple[int, ...]:
         """The B-vertices by (degree, id): the split branch's donor order."""
-        degrees = list(map(len, self.forest.adjacency))
         # a stable sort of the ascending B-vertices
-        return tuple(sorted(self.side_vertices[1], key=degrees.__getitem__))
+        return tuple(sorted(self.side_vertices[1], key=self.degrees.__getitem__))
 
     def decide(self, k: int) -> DecisionReport:
         """Is the forest equitably k-colorable, for any k >= 1?

@@ -7,6 +7,7 @@ library's dynamic programs.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from collections import Counter
@@ -92,15 +93,22 @@ def brute_equitable_exists(forest: Forest, k: int) -> bool:
     return go(0)
 
 
-def all_labeled_forests(n: int):
-    """Every labeled forest on n vertices (acyclic subsets of K_n edges)."""
+@functools.cache
+def all_labeled_forests(n: int) -> tuple[Forest, ...]:
+    """Every labeled forest on n vertices (acyclic subsets of K_n edges).
+
+    Built once per n and kept for the session, since several tests sweep
+    every n <= 7 (40,232 forests); a Forest is immutable, so they share it.
+    """
     pairs = list(itertools.combinations(range(n), 2))
+    forests = []
     for count in range(n):
         for subset in itertools.combinations(pairs, count):
             try:
-                yield Forest.from_edges(n, subset)
+                forests.append(Forest.from_edges(n, subset))
             except ForestError:
                 continue
+    return tuple(forests)
 
 
 def seeded_random_forests():

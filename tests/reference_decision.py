@@ -6,7 +6,9 @@ for ``DecisionProfile.decide``; it rescans the degrees and runs
 ``alpha_x`` for every k.  ``decide2`` is the k = 2 kernel before its
 groups came from a stable sort, the reference for
 ``equiforest.equitable.decide2``; it groups the components in a
-per-component Python loop.
+per-component Python loop.  ``vertex`` and ``b_by_degree`` are the
+DecisionProfile attributes of those names before they read one kept
+degree tuple; each scans the degrees itself.
 """
 
 from __future__ import annotations
@@ -14,6 +16,20 @@ from __future__ import annotations
 from equiforest.equitable import DecisionReport
 from equiforest.forest import Forest, max_degree_vertices
 from equiforest.stability import alpha_x
+
+
+def vertex(forest: Forest) -> int | None:
+    """The unique maximum-degree vertex, or None."""
+    candidates = max_degree_vertices(forest)
+    return candidates[0] if len(candidates) == 1 else None
+
+
+def b_by_degree(forest: Forest, vertices_b) -> tuple[int, ...]:
+    """The ascending B-vertices by (degree, id): the split branch's donor
+    order."""
+    degrees = list(map(len, forest.adjacency))
+    # a stable sort of the ascending B-vertices
+    return tuple(sorted(vertices_b, key=degrees.__getitem__))
 
 
 def decide(forest: Forest, k: int) -> DecisionReport:

@@ -4,7 +4,7 @@ import itertools
 import random
 import sys
 from collections import Counter
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 
@@ -297,6 +297,57 @@ class TestAgainstReference:
         for branch in (BRANCH_EQUALITY, BRANCH_SPLIT, BRANCH_HARVEST,
                        BRANCH_PIVOT_SINGLE, BRANCH_PIVOT_MULTI):
             assert branches[branch] >= 500, branches
+
+
+class TestSharedTraces:
+    """The branches whose trace holds only its branch and split index
+    return one shared, frozen instance per (branch, split index), equal
+    to a trace built afresh."""
+
+    @staticmethod
+    def _fresh(f, k, b):
+        """The trace of a parameter-only branch, from its definition: j
+        is the first class whose prefix sum of sizes reaches b."""
+        if k <= 2:
+            return ConstructionTrace(branch=(BRANCH_EDGELESS, BRANCH_TWO_SIDES)[k - 1])
+        if f.n == 0:
+            return ConstructionTrace(branch=BRANCH_EMPTY)
+        prefixes = itertools.accumulate(class_sizes(f.n, k))
+        j = next(i for i, total in enumerate(prefixes, 1) if total >= b)
+        return ConstructionTrace(branch=BRANCH_EQUALITY, split_index=j)
+
+    def test_equal_to_fresh_traces_on_all_labeled_forests(self):
+        shared = {}
+        forests = itertools.chain(
+            [parse_forest("0")], (f for n in range(1, 8) for f in all_labeled_forests(n)))
+        for f in forests:
+            profile = DecisionProfile(f)
+            for k in range(1, max(f.n, 2) + 2):  # k = 3 for the empty forest
+                if not profile.colorable(k):
+                    continue
+                _, trace = construct(f, k, profile)
+                if trace.branch == BRANCH_SPLIT:
+                    continue
+                assert trace == self._fresh(f, k, profile.bipartition.b), (f, k)
+                key = (trace.branch, trace.split_index)
+                assert shared.setdefault(key, trace) is trace, (f, k)
+        assert sorted(shared, key=str) == [
+            (BRANCH_EDGELESS, None), (BRANCH_EMPTY, None), (BRANCH_EQUALITY, 1),
+            (BRANCH_EQUALITY, 2), (BRANCH_EQUALITY, 3), (BRANCH_EQUALITY, 4),
+            (BRANCH_TWO_SIDES, None)]
+
+    @pytest.mark.parametrize("forest, k", [
+        ("3", 1), ("4\n0 1\n1 2\n2 3", 2), ("0", 3), ("6\n0 1\n0 2\n0 3\n0 4\n0 5", 4),
+    ])
+    def test_frozen(self, forest, k):
+        f = parse_forest(forest)
+        _, trace = construct(f, k)
+        fresh = self._fresh(f, k, select_bipartition(f).b)
+        assert trace == fresh
+        for field in fields(trace):
+            with pytest.raises(FrozenInstanceError):
+                setattr(trace, field.name, None)
+        assert construct(f, k)[1] == fresh
 
 
 class TestSplitBranchFailures:

@@ -1,6 +1,9 @@
 """Decision procedures: class sizes, k >= 3 criterion, k = 2, k = 1,
 and the equitable chromatic number."""
 
+from collections import Counter
+from itertools import chain
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -317,19 +320,20 @@ class TestDecisionProfile:
             DecisionProfile(path(3)).decide(0)
 
     def test_walks_are_lazy_and_kept(self, monkeypatch):
-        calls = {"max_degree_vertices": 0, "alpha_x": 0, "select_bipartition": 0,
+        # "degrees" counts the degree scan: the kept tuple's computation
+        calls = {"degrees": 0, "alpha_x": 0, "select_bipartition": 0,
                  "decide2": 0}
 
-        def counting(name):
-            original = getattr(equitable, name)
-
+        def counting(name, original):
             def wrapped(*args):
                 calls[name] += 1
                 return original(*args)
             return wrapped
 
-        for name in calls:
-            monkeypatch.setattr(equitable, name, counting(name))
+        for name in ("alpha_x", "select_bipartition", "decide2"):
+            monkeypatch.setattr(equitable, name, counting(name, getattr(equitable, name)))
+        scan = DecisionProfile.degrees
+        monkeypatch.setattr(scan, "func", counting("degrees", scan.func))
         f = gen_family(FamilySpec("paper3path", (3,)))
         profile = DecisionProfile(f)
         profile.decide(1)
@@ -337,20 +341,52 @@ class TestDecisionProfile:
         for k in (1, 2):  # both "no" on this forest
             with pytest.raises(NotColorableError):
                 construct(f, k, profile)
-        assert calls == {"max_degree_vertices": 0, "alpha_x": 0,
+        assert calls == {"degrees": 0, "alpha_x": 0,
                          "select_bipartition": 0, "decide2": 1}
         construct(parse_forest("4"), 1)
         construct(path(6), 2)
-        assert calls == {"max_degree_vertices": 0, "alpha_x": 0,
+        assert calls == {"degrees": 0, "alpha_x": 0,
                          "select_bipartition": 0, "decide2": 2}
         for k in range(3, f.n + 1):
             profile.decide(k)
-        assert calls == {"max_degree_vertices": 1, "alpha_x": 1,
+        assert calls == {"degrees": 1, "alpha_x": 1,
                          "select_bipartition": 0, "decide2": 2}
         assert profile.bipartition is profile.bipartition
         assert profile.decide(2) is profile.decide(2)
-        assert calls == {"max_degree_vertices": 1, "alpha_x": 1,
+        assert profile.b_by_degree is profile.b_by_degree
+        assert calls == {"degrees": 1, "alpha_x": 1,
                          "select_bipartition": 1, "decide2": 2}
+
+
+class TestDegreeTuple:
+    """``vertex`` and ``b_by_degree`` read the one kept ``degrees`` tuple,
+    and each equals its definition from before that tuple was kept."""
+
+    @staticmethod
+    def _check(f):
+        profile = DecisionProfile(f)
+        ends = Counter(chain.from_iterable(f.edges))
+        assert profile.degrees == tuple(ends[v] for v in range(f.n)), f
+        assert profile.vertex == reference_decision.vertex(f), f
+        assert profile.b_by_degree == reference_decision.b_by_degree(
+            f, profile.side_vertices[1]), f
+        return profile.vertex
+
+    def test_all_labeled_forests(self):
+        for n in range(1, 8):
+            for f in all_labeled_forests(n):
+                self._check(f)
+
+    def test_seeded_random_forests(self):
+        for f in seeded_random_forests():
+            self._check(f)
+
+    @pytest.mark.parametrize("f, vertex", [
+        (parse_forest("0"), None), (parse_forest("1"), 0), (parse_forest("5"), None),
+        (star(5), 0),
+    ])
+    def test_small_cases(self, f, vertex):
+        assert self._check(f) == vertex
 
 
 class TestKeptReports:

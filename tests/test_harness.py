@@ -1,5 +1,7 @@
 """The exhaustive checking harness: sweeps, isomorphism classes, sharding."""
 
+import functools
+
 import pytest
 
 import equiforest.constructor as constructor
@@ -102,6 +104,64 @@ def planted_bg_sweep():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(harness, "DecisionProfile", Planted)
         return check_bg(10)
+
+
+def planted_sweeps(check, max_n, wrong_on):
+    """check(max_n) run whole and in three merged shards, through a
+    DecisionProfile whose colorable(k) is negated where wrong_on(forest, k)."""
+
+    class Planted(equitable.DecisionProfile):
+        def colorable(self, k):
+            return super().colorable(k) != wrong_on(self.forest, k)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "DecisionProfile", Planted)
+        whole = check(max_n)
+        shards = [check(max_n, shards=3, shard_index=i) for i in range(3)]
+    return whole, functools.reduce(merge_reports, shards)
+
+
+@pytest.fixture(scope="module")
+def planted_cl2_sweeps():
+    """check_cl2(9) with a planted fault: the decision rejects the
+    9-vertex path, a balanced tree and the only one of that order with
+    maximum degree 2, at k = 4."""
+    return planted_sweeps(check_cl2, 9, lambda forest, k: (
+        k == 4 and forest.n == 9 and forest.max_degree == 2))
+
+
+@pytest.fixture(scope="module")
+def planted_cl3_sweeps():
+    """check_cl3(10) with a planted fault: the decision rejects the
+    10-vertex star, an unbalanced tree and the only one of that order
+    with maximum degree 9, at its threshold k = 6."""
+    return planted_sweeps(check_cl3, 10, lambda forest, k: (
+        k == 6 and forest.n == 10 and forest.max_degree == 9))
+
+
+class TestPlantedFaults:
+    """cl2 and cl3 each report a fault planted on one shape at a class
+    level, once, whether swept whole or in shards."""
+
+    def test_cl2_reports_the_path(self, planted_cl2_sweeps):
+        for report in planted_cl2_sweeps:
+            [entry] = report.counterexamples
+            assert (entry["n"], entry["k"]) == (9, 4)
+            assert entry["detail"] == "balanced tree rejected"
+            assert parse_forest(entry["edges"]).max_degree == 2  # the path, replayable
+        whole, merged = planted_cl2_sweeps
+        assert whole.checked == merged.checked == sum(
+            num_labeled_trees(n) for n in range(2, 9)) + 47
+
+    def test_cl3_reports_the_star(self, planted_cl3_sweeps):
+        for report in planted_cl3_sweeps:
+            [entry] = report.counterexamples
+            assert (entry["n"], entry["k"]) == (10, 6)
+            assert entry["detail"] == "threshold 6 not exact"
+            assert parse_forest(entry["edges"]).max_degree == 9  # the star, replayable
+        whole, merged = planted_cl3_sweeps
+        assert whole.checked == merged.checked == sum(
+            num_labeled_trees(n) for n in range(2, 9)) + 47 + 106
 
 
 class TestSuites:
