@@ -64,8 +64,11 @@ def _render(value, indent: str = "") -> str:
 
     With an indent, json.dumps walks the value in pure Python; here only
     the containers are walked, each scalar and key goes through the C
-    encoder, and a list of plain ints (a coloring's ``assignment``, an
-    ``orientation``, ``sizes``) is joined in one C-level pass.
+    encoder, and a list of plain ints is joined in one C-level pass.  When
+    its ints lie in 0..len(list), as a coloring's ``assignment`` and an
+    ``orientation`` do, each is looked up in a table of the strings for
+    0..max, built once, in place of a ``str()`` per element; any other
+    list of ints (``sizes``, say) takes ``str()``.
     """
     inner = indent + "  "
     if isinstance(value, dict):
@@ -73,8 +76,12 @@ def _render(value, indent: str = "") -> str:
                  f" {_render(item, inner)}" for key, item in sorted(value.items())]
         brackets = "{}"
     elif isinstance(value, (list, tuple)):
-        flat = set(map(type, value)) == {int}  # bools are not plain ints
-        parts = map(str, value) if flat else [_render(item, inner) for item in value]
+        if set(map(type, value)) != {int}:  # bools are not plain ints
+            parts = [_render(item, inner) for item in value]
+        elif min(value) >= 0 and (top := max(value)) <= len(value):
+            parts = map(list(map(str, range(top + 1))).__getitem__, value)
+        else:
+            parts = map(str, value)
         brackets = "[]"
     else:
         return json.dumps(value)

@@ -1,6 +1,16 @@
 """Acyclic-graph core: the Forest value type, edge-list I/O, and the
 bipartition selector the coloring construction relies on.
 
+``parse_forest`` reads text in the plain layout (digits, blanks and line
+ends only) in slices of whole lines.  A slice in the serializer's
+spelling, one space between ids and bare line ends, is decoded in one
+call of the C JSON scanner once each space and line end is made a comma.
+A slice that this decode refuses (ids parted by a tab alone or by two
+blanks, blank lines, leading blanks, leading zeros, ids too long for
+``int``) is split with ``str.split`` and ``int``.  Both decoders give the
+same ids.  Text outside the plain layout, or with a defect, is read line
+by line.
+
 Vertices are dense 0-based ids.  Every value here is immutable after
 construction, so instances are safe to share between concurrent tasks.
 ``Forest.from_edges`` and ``parse_forest`` pause the cyclic garbage
@@ -18,6 +28,7 @@ the last build finishes.
 from __future__ import annotations
 
 import gc
+import json
 import re
 import sys
 import threading
@@ -324,9 +335,11 @@ _PLAIN_PAIRS = re.compile(
     r"(?:[ \t]*+(?:[0-9]++[ \t]++[0-9]++[ \t]*+)?+\r?+\n)*+"
     r"[ \t]*+(?:[0-9]++[ \t]++[0-9]++[ \t]*+)?+"
 )
-# characters matched and split at once; the regex keeps state per line,
-# so slices bound its memory as well as the token lists'
+# characters matched and decoded at once; the regex keeps state per line,
+# so slices bound its memory as well as the id lists'
 _CHUNK = 1 << 12
+# each space and line end of a plain slice made a comma
+_TO_COMMAS = str.maketrans(" \n", ",,")
 
 
 def parse_forest(text: str) -> Forest:
@@ -345,11 +358,26 @@ def parse_forest(text: str) -> Forest:
     return Forest.from_edges(n, pairs)
 
 
+def _json_ids(lines: str) -> list[int] | None:
+    # The ids of a slice that the layout check accepted, decoded by the C
+    # JSON scanner, or None when the scanner refuses the slice.  Once its
+    # spaces and line ends are commas, the slice holds only digits,
+    # commas, tabs and CRs, and JSON reads tabs and CRs as blanks around
+    # a comma.  So the decode succeeds only when every digit run is one
+    # number without a leading zero and runs are parted by exactly one
+    # comma: then its numbers are the slice's split() tokens.
+    try:
+        return json.loads("[" + lines.translate(_TO_COMMAS).rstrip(",") + "]")
+    except ValueError:
+        return None
+
+
 def _read_plain(text: str) -> Forest | None:
-    # Text in the plain layout, read in slices of whole lines with C-level
-    # split and int; each slice's pairs become edge keys straight away, so
-    # no token or pair list outlives its slice.  None for any other text,
-    # or on any defect.
+    # Text in the plain layout, read in slices of whole lines: each slice
+    # is decoded by _json_ids, or, in any other spelling, by C-level split
+    # and int.  Each slice's pairs become edge keys straight away, so no
+    # id or pair list outlives its slice.  None for any other text, or on
+    # any defect.
     header = _PLAIN_HEADER.match(text)
     if header is None:
         return None
@@ -365,7 +393,9 @@ def _read_plain(text: str) -> Forest | None:
             start = end
             if not _PLAIN_PAIRS.fullmatch(lines):
                 return None
-            ids = list(map(int, lines.split()))
+            ids = _json_ids(lines)
+            if ids is None:
+                ids = list(map(int, lines.split()))
             chunk = _edge_keys(n, ids[0::2], ids[1::2])
             if chunk is None:
                 return None

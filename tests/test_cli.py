@@ -434,6 +434,20 @@ class TestRender:
     def test_edge_values(self, value):
         assert cli._render(value) == reference_render(value)
 
+    # flat int lists: through the string table when every value lies in
+    # 0..len(list), through str() otherwise
+    @pytest.mark.parametrize("value", [
+        [0], [5, 5], [-1, 0, 1], [10**30, 1], list(range(50)), [1, True],
+        (2, 0, 2), [3, 1, 2], [1, 2], list(range(50, -1, -1)),
+    ])
+    def test_flat_int_lists(self, value):
+        assert cli._render(value) == reference_render(value)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers()) | st.lists(st.integers(0, 12)))
+    def test_any_int_list(self, value):
+        assert cli._render(value) == reference_render(value)
+
 
 class TestOneWalk:
     """An edge-list instance is walked once, at ingest, whatever the

@@ -1,5 +1,6 @@
 """The exhaustive checking harness: sweeps, isomorphism classes, sharding."""
 
+import dataclasses
 import functools
 
 import pytest
@@ -106,6 +107,13 @@ def planted_bg_sweep():
         return check_bg(10)
 
 
+def whole_and_merged(check, max_n):
+    """check(max_n) run whole, and in three shards merged into one report."""
+    whole = check(max_n)
+    shards = [check(max_n, shards=3, shard_index=i) for i in range(3)]
+    return whole, functools.reduce(merge_reports, shards)
+
+
 def planted_sweeps(check, max_n, wrong_on):
     """check(max_n) run whole and in three merged shards, through a
     DecisionProfile whose colorable(k) is negated where wrong_on(forest, k)."""
@@ -116,9 +124,34 @@ def planted_sweeps(check, max_n, wrong_on):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(harness, "DecisionProfile", Planted)
-        whole = check(max_n)
-        shards = [check(max_n, shards=3, shard_index=i) for i in range(3)]
-    return whole, functools.reduce(merge_reports, shards)
+        return whole_and_merged(check, max_n)
+
+
+@pytest.fixture(scope="module")
+def planted_main_sweeps():
+    """check_main(6) with a planted fault in its k = 2 comparison: the
+    decision rejects the 4-vertex path, the only tree of that order with
+    maximum degree 2, at k = 2, where its 2 + 2 sides make it colorable."""
+    return planted_sweeps(check_main, 6, lambda forest, k: (
+        k == 2 and forest.n == 4 and forest.max_degree == 2))
+
+
+@pytest.fixture(scope="module")
+def planted_lemma_sweeps():
+    """check_lemma(7) with a planted fault: the major-vertex check fails
+    on the 6-vertex star, whose centre (alpha 1) forces 4 classes and is
+    the unique maximum-degree vertex."""
+    real = harness.major_vertex_check
+
+    def planted(forest):
+        outcome = real(forest)
+        if forest.n == 6 and forest.max_degree == 5:
+            return dataclasses.replace(outcome, ok=not outcome.ok)
+        return outcome
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "major_vertex_check", planted)
+        return whole_and_merged(check_lemma, 7)
 
 
 @pytest.fixture(scope="module")
@@ -140,8 +173,40 @@ def planted_cl3_sweeps():
 
 
 class TestPlantedFaults:
-    """cl2 and cl3 each report a fault planted on one shape at a class
-    level, once, whether swept whole or in shards."""
+    """main's k = 2 comparison and lemma each report a fault planted on
+    one shape once per labeled copy, and cl2 and cl3 one planted at a
+    class level once, whether swept whole or in shards."""
+
+    def test_main_k2_reports_every_labeled_path(self, planted_main_sweeps):
+        for report in planted_main_sweeps:
+            # once per labeled path: 4!/2 of them
+            assert len({entry["edges"] for entry in report.counterexamples}) == 12
+            assert len(report.counterexamples) == 12
+            for entry in report.counterexamples:
+                assert (entry["n"], entry["k"]) == (4, 2)
+                assert entry["detail"] == "decide2=False oracle2 disagrees"
+                assert parse_forest(entry["edges"]).max_degree == 2  # a path, replayable
+        whole, merged = planted_main_sweeps
+        assert whole.checked == merged.checked == 5594
+        assert whole.notes[0] == "k=2 decisions compared with the oracle: 1440"
+        assert sum(int(note.rsplit(" ", 1)[1]) for note in merged.notes
+                   if note.startswith("k=2 decisions")) == 1440
+
+    def test_lemma_reports_every_labeled_star(self, planted_lemma_sweeps):
+        for report in planted_lemma_sweeps:
+            assert len(report.counterexamples) == 6  # one per choice of centre
+            centres = set()
+            for entry in report.counterexamples:
+                star = parse_forest(entry["edges"])  # replayable
+                assert entry["n"] == 6 and star.max_degree == 5
+                [centre] = [v for v in range(6) if len(star.adjacency[v]) == 5]
+                centres.add(centre)
+                assert entry["detail"] == (f"vertices ({centre},) force >3 classes"
+                                           f" but max-degree vertices are ({centre},)")
+            assert centres == set(range(6))
+        whole, merged = planted_lemma_sweeps
+        assert whole.checked == merged.checked == sum(
+            num_labeled_trees(n) for n in range(1, 8))
 
     def test_cl2_reports_the_path(self, planted_cl2_sweeps):
         for report in planted_cl2_sweeps:

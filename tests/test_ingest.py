@@ -4,13 +4,15 @@ Every input must give the same stored fields (n, edges, adjacency,
 component_id), or the same error class, message and reported cycle, from
 ``parse_forest``/``Forest.from_edges`` and from the reference loop they
 replaced (tests/reference_ingest.py).  The plain reader's layout check
-must accept exactly what the pattern it replaced accepted, and a build
-must leave the cyclic collector as it found it.
+must accept exactly what the pattern it replaced accepted, its JSON
+decode must give the ids that ``split`` and ``int`` give or refuse the
+slice, and a build must leave the cyclic collector as it found it.
 """
 
 import gc
 import itertools
 import random
+import re
 import sys
 import threading
 from collections import namedtuple
@@ -20,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equiforest import CycleError, Forest, ForestError, forest, parse_forest, serialize_forest
-from equiforest.generators import random_tree
+from equiforest.generators import gen_family, parse_family, random_tree
 
 from conftest import seeded_random_forests
 from ingest_corpus import CORPUS
@@ -216,6 +218,89 @@ class TestPlainLayout:
     ])
     def test_other_layouts_fall_back_to_the_line_reader(self, text):
         assert forest._read_plain(text) is None
+
+
+def split_ids(text):
+    """The ids that C-level split and int read from a slice, or ValueError
+    when int refuses one of them."""
+    try:
+        return list(map(int, text.split()))
+    except ValueError:
+        return ValueError
+
+
+# the serializer's spelling: one space between ids, bare line ends
+_SERIALIZED = re.compile(r"(?:(?:0|[1-9][0-9]*) (?:0|[1-9][0-9]*)(?:\n|\Z))*")
+_ID = st.integers(0, 10**6).map(str) | st.sampled_from(["0", "00", "01", "007"])
+_BLANKS = st.sampled_from([" ", " ", " ", "\t", "  ", " \t", "\t "])
+_LINE = st.tuples(
+    st.sampled_from(["", "", "", " ", "\t"]),
+    st.one_of(st.just(()), st.tuples(_ID, _BLANKS, _ID, st.sampled_from(["", "", " ", "\t"]))),
+).map(lambda t: t[0] + "".join(t[1]))
+# slices of whole lines in the plain layout; the last may lack its line end
+_PLAIN_SLICES = st.tuples(
+    st.lists(st.tuples(_LINE, st.sampled_from(["\n", "\n", "\r\n"])).map("".join),
+             max_size=12),
+    st.one_of(st.just(""), _LINE),
+).map(lambda t: "".join(t[0]) + t[1])
+_LONG_ID = "1" * (sys.get_int_max_str_digits() + 1)
+
+
+class TestJsonDecode:
+    """A plain slice decodes, in one call of the C JSON scanner, to the ids
+    that split and int read, or is refused and takes split and int."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(_PLAIN_SLICES)
+    def test_same_ids_as_split_or_refused(self, text):
+        assert forest._PLAIN_PAIRS.fullmatch(text), repr(text)
+        decoded = forest._json_ids(text)
+        if _SERIALIZED.fullmatch(text):
+            assert decoded is not None, repr(text)
+        assert decoded is None or decoded == split_ids(text), repr(text)
+
+    @pytest.mark.parametrize("text,decoded,split", [
+        ("0 1\n12 3\n", [0, 1, 12, 3], [0, 1, 12, 3]),
+        ("00 01\n", None, [0, 1]),
+        ("1 \t2\n", [1, 2], [1, 2]),
+        ("1\t 2\n", [1, 2], [1, 2]),
+        ("1\t2\n", None, [1, 2]),
+        ("1 2\r\n3 4\r\n", [1, 2, 3, 4], [1, 2, 3, 4]),
+        ("1 2\n\n3 4\n", None, [1, 2, 3, 4]),
+        ("\n1 2\n", None, [1, 2]),
+        (" 1 2\n", None, [1, 2]),
+        ("1 2 \n3 4\n", None, [1, 2, 3, 4]),
+        ("1 2  \n\n", [1, 2], [1, 2]),
+        ("", [], []),
+        (f"1 {_LONG_ID}\n", None, ValueError),
+    ])
+    def test_spellings(self, text, decoded, split):
+        assert forest._PLAIN_PAIRS.fullmatch(text)
+        assert forest._json_ids(text) == decoded
+        assert split_ids(text) == split
+        assert_same_parse(f"5\n{text}")
+
+    def test_serialized_forests_never_fall_back(self, monkeypatch):
+        # a refused slice still parses, only slower, so count the refusals
+        decodes = []
+        real = forest._json_ids
+
+        def counted(lines):
+            ids = real(lines)
+            decodes.append(ids is not None)
+            return ids
+
+        monkeypatch.setattr(forest, "_json_ids", counted)
+        # the seeded forests, and each family of the big-trees benchmark
+        # workload at its larger size
+        families = [gen_family(parse_family(f"family:{spec}")) for spec in (
+            "path:20000", "caterpillar:6666," + ",".join(["2"] * 6666),
+            "random_tree:20000,7", "caterpillar:8000," + ",".join(["3,0"] * 4000),
+            "star:19999", "caterpillar:363,5," + ",".join(["0,1"] * 181),
+            "caterpillar:5,7,0,1,0,1")]
+        for f in [*seeded_random_forests(), *families]:
+            assert parse_forest(serialize_forest(f)) == f
+        assert len(decodes) > 400 and all(decodes)
 
 
 @pytest.fixture
