@@ -8,8 +8,10 @@ call of the C JSON scanner once each space and line end is made a comma.
 A slice that this decode refuses (ids parted by a tab alone or by two
 blanks, blank lines, leading blanks, leading zeros, ids too long for
 ``int``) is split with ``str.split`` and ``int``.  Both decoders give the
-same ids.  Text outside the plain layout, or with a defect, is read line
-by line.
+same ids.  Every slice passes the layout check before the per-vertex
+lists exist; then each slice's ids go straight into the lists, and one
+sort per list orders its neighbours.  Text outside the plain layout, or
+with a defect, is read line by line.
 
 Vertices are dense 0-based ids.  Every value here is immutable after
 construction, so instances are safe to share between concurrent tasks.
@@ -34,8 +36,8 @@ import sys
 import threading
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from itertools import compress, repeat
-from operator import add, eq, floordiv, itemgetter, lt, mod, mul
+from itertools import chain, compress, repeat
+from operator import eq
 
 
 class ForestError(ValueError):
@@ -74,12 +76,13 @@ def _cycle_through(adjacency: list[list[int]], u: int, v: int) -> list[int]:
 
 
 def _first_defect(n: int, pairs) -> ForestError:
-    """The error for the first pair, in input order, that breaks the forest.
+    """The error for the first item, in input order, that breaks the forest.
 
     This is the check-as-you-go loop the fast path skips, run only once
-    some pair is known to be out of range, or the pairs are known to hold
-    a self-loop, a duplicate or a cycle, so it always finds one.  Cycle
-    reports depend on input order and orientation, hence the replay.
+    some item is known not to be a pair or to be out of range, or the
+    pairs to hold a self-loop, a duplicate or a cycle, so it always finds
+    one.  Cycle reports depend on input order and orientation, hence the
+    replay.
     """
     adjacency: list[list[int]] = [[] for _ in range(n)]
     seen: set[tuple[int, int]] = set()
@@ -91,7 +94,10 @@ def _first_defect(n: int, pairs) -> ForestError:
             x = uf[x]
         return x
 
-    for u, v in pairs:
+    for pair in pairs:
+        if len(pair) != 2:
+            return ForestError(f"edge {tuple(pair)} is not a pair of vertex ids")
+        u, v = pair
         if not (0 <= u < n and 0 <= v < n):
             return ForestError(f"edge ({u}, {v}) out of range for n={n}")
         if u == v:
@@ -108,17 +114,6 @@ def _first_defect(n: int, pairs) -> ForestError:
         seen.add(key)
         adjacency[u].append(v)
         adjacency[v].append(u)
-
-
-def _edge_keys(n: int, us: list[int], vs: list[int]) -> list[int] | None:
-    """The key min*n + max of each pair (us[i], vs[i]), or None when some
-    id lies outside 0..n-1 (a self-loop v*n + v is a key like any other)."""
-    lows, highs = us, vs
-    if not all(map(lt, us, vs)):  # serialized edges already are (min, max)
-        lows, highs = list(map(min, us, vs)), list(map(max, us, vs))
-    if lows and (min(lows) < 0 or max(highs) >= n):
-        return None
-    return list(map(add, map(mul, lows, repeat(n)), highs))
 
 
 class _CollectorPause:
@@ -187,43 +182,50 @@ class Forest:
     def from_edges(cls, n: int, edge_pairs) -> "Forest":
         """Validate and build a Forest from an iterable of vertex pairs.
 
-        Raises ForestError for out-of-range ids, self-loops and duplicate
-        edges, and CycleError when the pairs close a cycle; when several
-        pairs are at fault, the first one in input order is reported.
+        Raises ForestError for items that are not pairs, out-of-range
+        ids, self-loops and duplicate edges, and CycleError when the pairs
+        close a cycle; when several are at fault, the first one in input
+        order is reported.
         """
         if n < 0:
             raise ForestError("vertex count must be nonnegative")
         pairs = edge_pairs if isinstance(edge_pairs, (list, tuple)) else list(edge_pairs)
         forest = None
         if set(map(len, pairs)) <= {2}:
-            keys = _edge_keys(n, list(map(itemgetter(0), pairs)),
-                              list(map(itemgetter(1), pairs)))
-            forest = None if keys is None else cls._from_keys(n, keys)
+            forest = cls._from_ids(n, [list(chain.from_iterable(pairs))])
         if forest is None:
             raise _first_defect(n, pairs)
         return forest
 
     @classmethod
-    def _from_keys(cls, n: int, keys: list[int]) -> "Forest | None":
-        # `keys` (consumed) holds min*n + max per edge, all in range.  One
-        # sort orders the edges; filling the adjacency in that order hands
-        # each vertex its smaller neighbours, then its larger ones, each
-        # group increasing.  A multigraph with c components is a forest
-        # iff it has n - c edges (each edge joins two components, or else
-        # closes a cycle), so that count rejects self-loops, duplicates
-        # and cycles alike: None, and the caller finds the culprit.  The
+    def _from_ids(cls, n: int, runs) -> "Forest | None":
+        # Each of `runs` is a list u0, v0, u1, v1, ... of the ids of some
+        # edges, emptied once read, so no id list outlives the fill.  Each
+        # edge (u, v) appends v to u's list and u to v's, then one sort per
+        # list puts the neighbours in increasing order (serialized edges
+        # come sorted, so each sort is one pass).  A multigraph with c
+        # components is a forest iff it has n - c edges (each edge joins
+        # two components, or else closes a cycle), so that count rejects
+        # self-loops, duplicates and cycles alike.  None on an id outside
+        # 0..n-1 or a failed count: the caller finds the culprit.  The
         # build makes only acyclic containers of ints, so the collector is
         # paused: its passes would free nothing, only rescan them.
         with _collector_paused:
-            keys.sort()
-            m = len(keys)
             ids = list(range(n))  # one int object per id, shared by every field
             lists: list[list[int]] = [[] for _ in range(n)]
-            for u, v in zip(map(ids.__getitem__, map(floordiv, keys, repeat(n))),
-                            map(ids.__getitem__, map(mod, keys, repeat(n)))):
-                lists[u].append(v)
-                lists[v].append(u)
-            del keys[:]
+            m = 0
+            for run in runs:
+                if run and (min(run) < 0 or max(run) >= n):
+                    return None
+                m += len(run) // 2
+                ends = map(ids.__getitem__, run)
+                for u, v in zip(ends, ends):
+                    lists[u].append(v)
+                    lists[v].append(u)
+                del run[:]
+            if m:
+                for nbrs in lists:
+                    nbrs.sort()
             adjacency = tuple(map(tuple, lists))
             del lists[:]  # freed before the walk allocates
             walk = _walk(n, adjacency, ids)
@@ -373,36 +375,30 @@ def _json_ids(lines: str) -> list[int] | None:
 
 
 def _read_plain(text: str) -> Forest | None:
-    # Text in the plain layout, read in slices of whole lines: each slice
-    # is decoded by _json_ids, or, in any other spelling, by C-level split
-    # and int.  Each slice's pairs become edge keys straight away, so no
-    # id or pair list outlives its slice.  None for any other text, or on
-    # any defect.
+    # Text in the plain layout, read in slices of whole lines.  Every
+    # slice passes the layout check before the build allocates anything
+    # of size n.  Then the build reads the slices' ids one slice at a
+    # time: by _json_ids, or, in any other spelling, by C-level split and
+    # int.  None for any other text, or on any defect.
     header = _PLAIN_HEADER.match(text)
     if header is None:
         return None
-    keys: list[int] = []
+    ends: list[int] = []
     start = header.end()
+    while start < len(text):
+        end = text.find("\n", start + _CHUNK) + 1 or len(text)
+        if not _PLAIN_PAIRS.fullmatch(text, start, end):
+            return None
+        ends.append(end)
+        start = end
+    slices = (text[a:b] for a, b in zip([header.end(), *ends], ends))
     try:  # int() refuses digit strings past sys.get_int_max_str_digits()
         n = int(header.group(1))
         if n > sys.maxsize:  # the line reader names the line
             return None
-        while start < len(text):
-            end = text.find("\n", start + _CHUNK) + 1 or len(text)
-            lines = text[start:end]
-            start = end
-            if not _PLAIN_PAIRS.fullmatch(lines):
-                return None
-            ids = _json_ids(lines)
-            if ids is None:
-                ids = list(map(int, lines.split()))
-            chunk = _edge_keys(n, ids[0::2], ids[1::2])
-            if chunk is None:
-                return None
-            keys += chunk
+        return Forest._from_ids(n, (_json_ids(s) or list(map(int, s.split())) for s in slices))
     except ValueError:
         return None
-    return Forest._from_keys(n, keys)
 
 
 def token_lines(text: str) -> Iterator[tuple[int, list[str]]]:

@@ -1,18 +1,22 @@
-"""Differential tests of edge-list ingest against the reference reader.
+"""Differential tests of edge-list ingest against the reference readers.
 
 Every input must give the same stored fields (n, edges, adjacency,
 component_id), or the same error class, message and reported cycle, from
 ``parse_forest``/``Forest.from_edges`` and from the reference loop they
-replaced (tests/reference_ingest.py).  The plain reader's layout check
+replaced (tests/reference_ingest.py), and every Forest field the same as
+the edge-key build that came after that loop.  The plain reader's layout check
 must accept exactly what the pattern it replaced accepted, its JSON
 decode must give the ids that ``split`` and ``int`` give or refuse the
 slice, and a build must leave the cyclic collector as it found it.
 """
 
+import collections
 import gc
 import itertools
+import os
 import random
 import re
+import subprocess
 import sys
 import threading
 from collections import namedtuple
@@ -21,14 +25,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import equiforest
 from equiforest import CycleError, Forest, ForestError, forest, parse_forest, serialize_forest
-from equiforest.generators import gen_family, parse_family, random_tree
+from equiforest.generators import gen_family, parse_family, random_forest, random_tree
 
 from conftest import seeded_random_forests
 from ingest_corpus import CORPUS
 from reference_ingest import (
     REFERENCE_PLAIN_PAIRS,
     reference_from_edges,
+    reference_key_from_edges,
+    reference_key_parse_forest,
     reference_parse_forest,
 )
 
@@ -148,19 +155,132 @@ class TestFromEdges:
         assert stored(Forest.from_edges(4, ((u, v) for u, v in [(0, 1), (3, 1)]))) == expected
         assert stored(Forest.from_edges(4, [[0, 1], [3, 1]])) == expected
 
-    def test_pair_of_wrong_length_is_rejected_as_before(self):
-        for pairs in ([(0, 1, 2)], [(0, 1), (2,)], [(0,), (1, 2, 3)]):
-            with pytest.raises(ValueError) as exc:
-                Forest.from_edges(4, pairs)
-            with pytest.raises(ValueError) as ref:
-                reference_from_edges(4, pairs)
-            assert str(exc.value) == str(ref.value)
+    def test_item_that_is_not_a_pair_is_a_forest_error(self):
+        # the first such item in input order is named; a defect before it
+        # comes first, as any earlier defect does
+        for pairs, named in (([(0, 1, 2)], "(0, 1, 2)"), ([(0,)], "(0,)"),
+                             ([(0, 1), (2,)], "(2,)"), ([(0,), (1, 2, 3)], "(0,)"),
+                             ([[0, 1], [1, 2, 0]], "(1, 2, 0)"), ([(0, 1), ()], "()")):
+            with pytest.raises(ForestError) as exc:
+                Forest.from_edges(3, pairs)
+            assert type(exc.value) is ForestError
+            assert str(exc.value) == f"edge {named} is not a pair of vertex ids"
+        with pytest.raises(ForestError, match=r"^edge \(0, 3\) out of range for n=3$"):
+            Forest.from_edges(3, [(0, 3), (1,)])
+        with pytest.raises(CycleError):
+            Forest.from_edges(3, [(0, 1), (1, 2), (2, 0), (1, 0, 2)])
 
     def test_neighbours_in_increasing_order(self):
         f = Forest.from_edges(6, [(5, 2), (2, 0), (4, 2), (1, 2), (3, 5)])
         assert f.adjacency[2] == (0, 1, 4, 5)
         assert f.adjacency[5] == (2, 3)
         assert f.edges == ((0, 2), (1, 2), (2, 4), (2, 5), (3, 5))
+
+
+def full_outcome(build, *args):
+    """Every field of the Forest built, or the error's class, message and
+    reported cycle."""
+    try:
+        result = build(*args)
+    except ForestError as exc:
+        return type(exc), str(exc), getattr(exc, "cycle", None)
+    return vars(result)  # n, adjacency, component_id, sides, order, parent
+
+
+def assert_same_as_key_build(n, pairs, **spelling):
+    expected = full_outcome(reference_key_from_edges, n, pairs)
+    assert full_outcome(Forest.from_edges, n, pairs) == expected, (n, pairs)
+    text = edge_text(n, pairs, **spelling)
+    assert full_outcome(parse_forest, text) == full_outcome(reference_key_parse_forest, text), text
+    return expected
+
+
+def defect_kind(outcome):
+    if isinstance(outcome, dict):
+        return "forest"
+    return outcome[0].__name__ + ": " + " ".join(re.sub(r"\(.*?\)|-?\d+", "", outcome[1]).split())
+
+
+class TestAgainstKeyBuild:
+    """The build that fills the per-vertex lists straight from the ids
+    against the edge-key build it replaced: the same Forest, field by
+    field, or the same error, from both from_edges and parse_forest."""
+
+    def test_every_edge_set_up_to_six_vertices(self):
+        # every set of up to n + 1 edges of K_n, n <= 6, shuffled with
+        # about half its pairs flipped, with now and then a random pair
+        # added (a self-loop, duplicate, cycle or bad id)
+        rng = random.Random(5)
+        kinds = collections.Counter()
+        for n in range(7):
+            pairs = list(itertools.combinations(range(n), 2))
+            for count in range(min(n + 1, len(pairs)) + 1):
+                for subset in itertools.combinations(pairs, count):
+                    mixed = shuffled(subset, rng)
+                    if rng.random() < 0.25:
+                        extra = rng.randint(-1, n), rng.randint(-1, n)
+                        mixed.insert(rng.randrange(len(mixed) + 1), extra)
+                    kinds[defect_kind(assert_same_as_key_build(n, mixed))] += 1
+        assert set(kinds) == {
+            "forest", "ForestError: edge out of range for n=",
+            "ForestError: self-loop at vertex", "ForestError: duplicate edge",
+            "CycleError: cycle closed by edge"}, kinds
+
+    def test_seeded_random_forests(self):
+        rng = random.Random(6)
+        for f in seeded_random_forests():
+            assert assert_same_as_key_build(f.n, f.edges) == vars(f)
+            assert assert_same_as_key_build(f.n, shuffled(f.edges, rng)) == vars(f)
+
+    def test_many_slices(self):
+        # texts of several layout-check slices each, in both decoders'
+        # spellings, with a defect placed late
+        rng = random.Random(7)
+        for n, c in ((3000, 1), (3000, 40), (5000, 2500)):
+            f = random_forest(n, c, n + c)
+            mixed = shuffled(f.edges, rng)
+            assert len(edge_text(n, mixed)) > 4 * forest._CHUNK
+            assert assert_same_as_key_build(n, mixed) == vars(f)
+            assert assert_same_as_key_build(n, mixed, sep="\t", end="\r\n") == vars(f)
+            for extra in ((0, n), (1, 1), mixed[0], (mixed[0][0], mixed[-1][1])):
+                assert_same_as_key_build(n, mixed[:-1] + [extra] + mixed[-1:])
+
+
+# a child interpreter capped at 1 GiB of address space parses argv[1],
+# and prints the error and its tracemalloc peak in bytes
+_CAPPED_PARSE = """
+import resource, sys, tracemalloc
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from equiforest import ParseError, parse_forest
+tracemalloc.start()
+try:
+    parse_forest(sys.argv[1])
+except ParseError as exc:
+    print(exc)
+print(tracemalloc.get_traced_memory()[1])
+"""
+# the directory the tested equiforest was imported from
+_SRC = os.path.dirname(os.path.dirname(equiforest.__file__))
+
+
+class TestHugeVertexCount:
+    """A syntax error after a vertex count of 10^15 is reported at once:
+    every slice passes the layout check before the build allocates its
+    per-vertex lists."""
+
+    @pytest.mark.parametrize("line,message", [
+        ("0 x", "line 3: vertex ids are not integers"),
+        ("1 2 3", "line 3: expected 'u v'"),
+    ])
+    def test_syntax_error_before_anything_of_size_n(self, line, message):
+        text = f"{10**15}\n0 1\n{line}\n"
+        child = subprocess.run([sys.executable, "-c", _CAPPED_PARSE, text],
+                               capture_output=True, text=True, timeout=60,
+                               env={**os.environ, "PYTHONPATH": _SRC})
+        assert child.returncode == 0, child.stderr
+        error, peak = child.stdout.splitlines()
+        assert error == message
+        assert int(peak) < 1 << 20
 
 
 def same_verdict(text):
