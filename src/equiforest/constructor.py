@@ -55,13 +55,6 @@ class EquitableColoring:
             c = next(c for c in assignment if not 1 <= c <= k)
             raise ValueError(f"class index {c} outside 1..{k}")
 
-    def class_vertices(self) -> tuple[frozenset[int], ...]:
-        self._check_classes()
-        out: list[list[int]] = [[] for _ in range(self.k)]
-        for v, c in enumerate(self.assignment):
-            out[c - 1].append(v)
-        return tuple(frozenset(c) for c in out)
-
     def sizes(self) -> tuple[int, ...]:
         self._check_classes()
         counts = [0] * self.k

@@ -37,7 +37,7 @@ import threading
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import chain, compress, repeat
-from operator import eq
+from operator import eq, index
 
 
 class ForestError(ValueError):
@@ -79,10 +79,10 @@ def _first_defect(n: int, pairs) -> ForestError:
     """The error for the first item, in input order, that breaks the forest.
 
     This is the check-as-you-go loop the fast path skips, run only once
-    some item is known not to be a pair or to be out of range, or the
-    pairs to hold a self-loop, a duplicate or a cycle, so it always finds
-    one.  Cycle reports depend on input order and orientation, hence the
-    replay.
+    some item is known not to be a pair of ints or to be out of range, or
+    the pairs to hold a self-loop, a duplicate or a cycle, so it always
+    finds one.  Cycle reports depend on input order and orientation, hence
+    the replay.
     """
     adjacency: list[list[int]] = [[] for _ in range(n)]
     seen: set[tuple[int, int]] = set()
@@ -95,9 +95,12 @@ def _first_defect(n: int, pairs) -> ForestError:
         return x
 
     for pair in pairs:
-        if len(pair) != 2:
-            return ForestError(f"edge {tuple(pair)} is not a pair of vertex ids")
-        u, v = pair
+        try:
+            u, v = pair
+            index(u), index(v)
+        except (TypeError, ValueError):
+            shown = tuple(pair) if isinstance(pair, list) else pair
+            return ForestError(f"edge {shown!r} is not a pair of vertex ids")
         if not (0 <= u < n and 0 <= v < n):
             return ForestError(f"edge ({u}, {v}) out of range for n={n}")
         if u == v:
@@ -182,7 +185,7 @@ class Forest:
     def from_edges(cls, n: int, edge_pairs) -> "Forest":
         """Validate and build a Forest from an iterable of vertex pairs.
 
-        Raises ForestError for items that are not pairs, out-of-range
+        Raises ForestError for items that are not pairs of ints, out-of-range
         ids, self-loops and duplicate edges, and CycleError when the pairs
         close a cycle; when several are at fault, the first one in input
         order is reported.
@@ -191,8 +194,11 @@ class Forest:
             raise ForestError("vertex count must be nonnegative")
         pairs = edge_pairs if isinstance(edge_pairs, (list, tuple)) else list(edge_pairs)
         forest = None
-        if set(map(len, pairs)) <= {2}:
-            forest = cls._from_ids(n, [list(chain.from_iterable(pairs))])
+        try:
+            if set(map(len, pairs)) <= {2}:
+                forest = cls._from_ids(n, [list(chain.from_iterable(pairs))])
+        except TypeError:  # an item without a length, or an id that is no int
+            pass
         if forest is None:
             raise _first_defect(n, pairs)
         return forest
@@ -250,21 +256,9 @@ class Forest:
         return tuple((u, v) for u, nbrs in enumerate(self.adjacency)
                      for v in nbrs if v > u)
 
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
     @property
     def max_degree(self) -> int:
         return max((len(nbrs) for nbrs in self.adjacency), default=0)
-
-    @property
-    def num_components(self) -> int:
-        return len(self.sides.first)
-
-    def validate(self) -> None:
-        """Re-derive the representation from the edge set; raise on mismatch."""
-        if vars(Forest.from_edges(self.n, self.edges)) != vars(self):  # every field
-            raise ForestError("representation inconsistent with edge set")
 
 
 def max_degree_vertices(forest: Forest) -> tuple[int, ...]:
@@ -455,33 +449,6 @@ class Bipartition:
     in_a: tuple[bool, ...]
     a: int
     b: int
-
-    @classmethod
-    def from_flags(cls, flags) -> "Bipartition":
-        in_a = tuple(map(bool, flags))
-        a = sum(in_a)
-        return cls(in_a, a, len(in_a) - a)
-
-    def side_a(self) -> frozenset[int]:
-        return frozenset(v for v, f in enumerate(self.in_a) if f)
-
-    def side_b(self) -> frozenset[int]:
-        return frozenset(v for v, f in enumerate(self.in_a) if not f)
-
-    def check(self, forest: Forest) -> None:
-        """Raise ForestError unless this is a proper split of `forest` with a >= b."""
-        if len(self.in_a) != forest.n:
-            raise ForestError("side flags do not cover the vertex set")
-        a = sum(self.in_a)
-        if a != self.a or self.a + self.b != forest.n:
-            raise ForestError("side counts inconsistent with flags")
-        if self.a < self.b:
-            raise ForestError("side A must be at least as large as side B")
-        # each edge once, as (vertex, parent); a root's parent -1 reads None
-        parent_in_a = map((self.in_a + (None,)).__getitem__, forest.parent)
-        if any(map(eq, self.in_a, parent_in_a)):
-            u, v = next((u, v) for u, v in forest.edges if self.in_a[u] == self.in_a[v])
-            raise ForestError(f"edge ({u}, {v}) does not cross the bipartition")
 
 
 def leaves_in(forest: Forest, side: Bipartition) -> frozenset[int]:

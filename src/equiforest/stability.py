@@ -1,6 +1,7 @@
-"""Stability numbers on forests: maximum stable sets, per-vertex stability,
-the coloring-number lower bound they induce, and a size-constrained
-stable-set search that minimizes overlap with one bipartition side.
+"""Stability numbers on forests: the stability number, per-vertex
+stability, the coloring-number lower bound they induce, and a
+size-constrained stable-set search that minimizes overlap with one
+bipartition side.
 
 Every pass is a take/skip pass over the rooting the forest stored when
 it was built (``Forest.order``/``.parent``), a vertex forced in by a
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import nlargest
-from itertools import compress
 
 from .forest import Bipartition, Forest, max_degree_vertices
 
@@ -45,29 +45,9 @@ def _take_skip(forest: Forest, forced: int | None = None):
     return take, skip, total
 
 
-def _witness(forest: Forest, forced: int | None = None) -> frozenset[int]:
-    """Walk down the take/skip tables: take u when its parent is not
-    taken and take[u] >= skip[u]."""
-    take, skip, _ = _take_skip(forest, forced)
-    parent = forest.parent
-    chosen = bytearray(forest.n)
-    for u in forest.order:
-        p = parent[u]
-        if (p < 0 or not chosen[p]) and take[u] >= skip[u]:
-            chosen[u] = 1
-    return frozenset(compress(range(forest.n), chosen))
-
-
 def alpha(forest: Forest) -> int:
     """Stability number: the maximum size of a stable set."""
     return _take_skip(forest)[2]
-
-
-def max_stable_set(forest: Forest) -> frozenset[int]:
-    """One maximum stable set; ties prefer including the vertex closer to
-    its component root (roots are the smallest ids), so the result is
-    deterministic and biased toward small ids."""
-    return _witness(forest)
 
 
 def alpha_x(forest: Forest, x: int) -> int:
@@ -76,14 +56,6 @@ def alpha_x(forest: Forest, x: int) -> int:
     if not 0 <= x < forest.n:
         raise ValueError(f"vertex {x} out of range")
     return _take_skip(forest, x)[2]
-
-
-def max_stable_set_containing(forest: Forest, x: int) -> frozenset[int]:
-    """Deterministic witness for alpha_x: the max_stable_set walk with x
-    forced in."""
-    if not 0 <= x < forest.n:
-        raise ValueError(f"vertex {x} out of range")
-    return _witness(forest, x)
 
 
 def alpha_profile(forest: Forest) -> list[int]:

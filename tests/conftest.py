@@ -1,4 +1,5 @@
-"""Shared brute-force references and instance helpers for the test suite.
+"""Shared brute-force references, checkers of program output and
+instance helpers for the test suite.
 
 The brute-force functions here work straight from definitions (subset
 enumeration over bitmasks) and deliberately share no code with the
@@ -11,10 +12,12 @@ import functools
 import itertools
 import random
 from collections import Counter
+from operator import eq
 
 import hypothesis.strategies as st
 
 from equiforest import (
+    Bipartition,
     DecisionProfile,
     Forest,
     ForestError,
@@ -23,6 +26,42 @@ from equiforest import (
     verify,
 )
 from equiforest.generators import FamilySpec, gen_family
+
+
+def validate_forest(forest: Forest) -> None:
+    """Re-derive the representation from the edge set; raise on mismatch."""
+    if vars(Forest.from_edges(forest.n, forest.edges)) != vars(forest):  # every field
+        raise ForestError("representation inconsistent with edge set")
+
+
+def bipartition_from_flags(flags) -> Bipartition:
+    in_a = tuple(map(bool, flags))
+    a = sum(in_a)
+    return Bipartition(in_a, a, len(in_a) - a)
+
+
+def side_a(side: Bipartition) -> frozenset[int]:
+    return frozenset(v for v, f in enumerate(side.in_a) if f)
+
+
+def side_b(side: Bipartition) -> frozenset[int]:
+    return frozenset(v for v, f in enumerate(side.in_a) if not f)
+
+
+def check_bipartition(side: Bipartition, forest: Forest) -> None:
+    """Raise ForestError unless `side` is a proper split of `forest` with a >= b."""
+    if len(side.in_a) != forest.n:
+        raise ForestError("side flags do not cover the vertex set")
+    a = sum(side.in_a)
+    if a != side.a or side.a + side.b != forest.n:
+        raise ForestError("side counts inconsistent with flags")
+    if side.a < side.b:
+        raise ForestError("side A must be at least as large as side B")
+    # each edge once, as (vertex, parent); a root's parent -1 reads None
+    parent_in_a = map((side.in_a + (None,)).__getitem__, forest.parent)
+    if any(map(eq, side.in_a, parent_in_a)):
+        u, v = next((u, v) for u, v in forest.edges if side.in_a[u] == side.in_a[v])
+        raise ForestError(f"edge ({u}, {v}) does not cross the bipartition")
 
 
 def edge_bitmasks(forest: Forest) -> list[int]:
@@ -189,7 +228,7 @@ def leaf_branch_sweep(count: int):
             if not verify(forest, coloring).ok:
                 failures.append((seed, k, "coloring invalid"))
             if trace.pivot is not None:
-                single = side.a - forest.degree(trace.pivot) + 1 >= forest.n // k
+                single = side.a - len(forest.adjacency[trace.pivot]) + 1 >= forest.n // k
                 if single != (trace.branch == "pivot-single"):
                     failures.append((seed, k, "pivot-single closed form fails"))
             branches[trace.branch] += 1

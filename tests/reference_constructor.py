@@ -11,6 +11,9 @@ a ConstructionTrace.
 ``reference_verify`` is ``constructor.verify`` as it stood when it
 compared every pair of classes, O(k^2) once two sizes differ by more
 than one; it is the differential reference for the grouped version.
+
+The sides' vertex sets come from ``conftest.side_a``/``side_b``, which
+were ``Bipartition`` methods before they left the library.
 """
 
 from __future__ import annotations
@@ -35,6 +38,8 @@ from equiforest.constructor import (
 from equiforest.equitable import DecisionProfile, class_sizes, decide1, decide2
 from equiforest.forest import Forest, leaves_in
 from equiforest.stability import stable_set_of_size_min_b
+
+from conftest import side_a, side_b
 
 
 def reference_color(forest: Forest, k: int, profile: DecisionProfile | None = None
@@ -103,8 +108,8 @@ def construct(forest: Forest, k: int, profile: DecisionProfile | None = None
     sizes = class_sizes(n, k)
     side = profile.bipartition
     b = side.b
-    vertices_a = sorted(side.side_a())
-    vertices_b = sorted(side.side_b())
+    vertices_a = sorted(side_a(side))
+    vertices_b = sorted(side_b(side))
 
     acc = 0
     j = k

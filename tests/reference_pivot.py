@@ -3,8 +3,9 @@
 replaced it.
 
 Kept verbatim (only renamed) as the reference for the differential tests
-in ``test_stability.py``.  The one other edit: ``Forest.components()``,
-whose only caller this was, is inlined as ``_components``.  Its tables
+in ``test_stability.py``.  The other edits: ``Forest.components()``,
+whose only caller this was, is inlined as ``_components``, and it reads
+the component count as ``len(forest.sides.first)``.  Its tables
 are indexed by set size and merged by O(|a|*|b|) products, so one call
 costs Theta(n^2): call it only on small forests.
 """
@@ -18,7 +19,7 @@ _INF = 1 << 30
 
 def _components(forest: Forest) -> tuple[tuple[int, ...], ...]:
     """Vertex lists per component, in component-id order."""
-    out: list[list[int]] = [[] for _ in range(forest.num_components)]
+    out: list[list[int]] = [[] for _ in range(len(forest.sides.first))]
     for v, c in enumerate(forest.component_id):
         out[c].append(v)
     return tuple(tuple(c) for c in out)

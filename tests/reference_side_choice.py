@@ -15,13 +15,17 @@ kept verbatim too, and ``test_forest.py`` checks ``Forest.sides``
 against it.  ``reference_side_walk`` is the second walk that computed
 every side profile before ``Forest`` recorded one at ingest; it is kept
 verbatim (only renamed), and ``test_forest.py`` checks ``Forest.sides``
-against it.
+against it.  The one other edit: the DP builds its result with
+``conftest.bipartition_from_flags``, which was ``Bipartition.from_flags``
+before that left the library.
 """
 
 from __future__ import annotations
 
 from equiforest.equitable import DecisionReport
 from equiforest.forest import Bipartition, Forest
+
+from conftest import bipartition_from_flags
 
 
 def component_sides(forest: Forest) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
@@ -91,7 +95,7 @@ def reference_select_bipartition(forest: Forest) -> Bipartition:
     """
     n = forest.n
     if n == 0:
-        return Bipartition.from_flags(())
+        return bipartition_from_flags(())
     sides = component_sides(forest)
     r = len(sides)
     need = (n + 1) // 2  # a >= b  <=>  a >= ceil(n/2)
@@ -155,7 +159,7 @@ def reference_select_bipartition(forest: Forest) -> Bipartition:
             chosen = sides[i][1]
         for v in chosen:
             in_a[v] = True
-    return Bipartition.from_flags(in_a)
+    return bipartition_from_flags(in_a)
 
 
 def reference_decide2(forest: Forest) -> DecisionReport:

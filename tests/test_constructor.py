@@ -12,7 +12,6 @@ import equiforest.constructor as constructor
 import equiforest.equitable as equitable
 import reference_constructor
 from equiforest import (
-    Bipartition,
     ConstructionTrace,
     DecisionProfile,
     Forest,
@@ -46,10 +45,14 @@ from equiforest.generators import FamilySpec, gen_family, parse_family
 
 from conftest import (
     all_labeled_forests,
+    bipartition_from_flags,
+    check_bipartition,
     leaf_branch_sweep,
     leaf_heavy_forest,
     random_bipartite_tree,
     seeded_random_forests,
+    side_a,
+    side_b,
 )
 from reference_constructor import reference_color, reference_verify
 
@@ -129,8 +132,8 @@ class TestBranchCoverage:
         f = gen_family(FamilySpec("paper3path", (3,)))
         _, trace = assert_sound(f, 3, expect_branch=BRANCH_SPLIT)
         side = select_bipartition(f)
-        assert trace.donors is not None and trace.donors <= side.side_b()
-        assert trace.top_fill is not None and trace.top_fill <= side.side_a()
+        assert trace.donors is not None and trace.donors <= side_b(side)
+        assert trace.top_fill is not None and trace.top_fill <= side_a(side)
 
     def test_harvest_branch(self):
         # chain of three 3-leaf stars: B = the three centers, b=3 < floor(14/3)
@@ -141,7 +144,7 @@ class TestBranchCoverage:
         leaves = leaves_in(f, side)
         assert trace.leaves_a == leaves
         assert len(leaves) >= side.a - side.b + 1
-        assert trace.donors and trace.donors <= side.side_b()
+        assert trace.donors and trace.donors <= side_b(side)
         assert trace.top_fill and trace.top_fill <= leaves
         assert trace.bottom_fill is not None and trace.bottom_fill <= leaves
         assert not (trace.top_fill & trace.bottom_fill)
@@ -152,12 +155,12 @@ class TestBranchCoverage:
         f = gen_family(FamilySpec("caterpillar", (5, 5, 0, 1, 0, 1)))
         side = select_bipartition(f)
         _, trace = assert_sound(f, 3, expect_branch=BRANCH_PIVOT_SINGLE)
-        assert trace.pivot in side.side_b()
+        assert trace.pivot in side_b(side)
         assert trace.pivot_set is not None
         assert trace.pivot in trace.pivot_set
         assert len(trace.pivot_set) == f.n // 3
         assert is_stable(f, trace.pivot_set)
-        assert trace.pivot_set & side.side_b() == {trace.pivot}
+        assert trace.pivot_set & side_b(side) == {trace.pivot}
 
     def test_pivot_multi_branch(self):
         # same shape plus a pendant B-vertex next to the hub: any stable set
@@ -166,7 +169,7 @@ class TestBranchCoverage:
         f = Forest.from_edges(15, list(base.edges) + [(1, 14)])
         side = select_bipartition(f)
         _, trace = assert_sound(f, 3, expect_branch=BRANCH_PIVOT_MULTI)
-        overlap = trace.pivot_set & side.side_b()
+        overlap = trace.pivot_set & side_b(side)
         assert trace.pivot in overlap and len(overlap) >= 2
         assert is_stable(f, trace.pivot_set)
 
@@ -184,9 +187,9 @@ class TestBranchCoverage:
         checked = 0
         for f in swept:
             side = select_bipartition(f)
-            side.check(f)
+            check_bipartition(side, f)
             if side.b < f.n // 3:
-                assert all(f.degree(v) > 0 for v in side.side_a()), f
+                assert all(len(f.adjacency[v]) > 0 for v in side_a(side)), f
                 assert len(leaves_in(f, side)) >= side.a - side.b + 1, f
                 checked += 1
         assert checked == 2 + 12_887
@@ -470,17 +473,17 @@ class TestLeafBranchFailures:
     def test_same_error_and_trace(self, monkeypatch, forest, flags, sizes, kernel,
                                   message, reference_message, moved):
         f = Forest.from_edges(*forest)
-        side = select_bipartition(f) if flags is None else Bipartition.from_flags(flags)
+        side = select_bipartition(f) if flags is None else bipartition_from_flags(flags)
         outcomes = []
         for module in (constructor, reference_constructor):
             if kernel is not None:
                 monkeypatch.setattr(module, "stable_set_of_size_min_b",
                                     lambda *args: kernel)
             # the reference also takes the A-vertices, for its isolated-vertex check
-            extra = () if module is constructor else (sorted(side.side_a()),)
+            extra = () if module is constructor else (sorted(side_a(side)),)
             with pytest.raises(ProofStepError) as failure:
                 module._leaf_branches(f, len(sizes), sizes, side, [0] * f.n, *extra,
-                                      sorted(side.side_b()))
+                                      sorted(side_b(side)))
             outcomes.append((str(failure.value), failure.value.trace))
         (got, trace), (want, reference_trace) = outcomes
         assert got == message
@@ -516,7 +519,7 @@ class TestRealize2:
     def test_path4(self):
         f = path(4)
         coloring = realize2(f, decide2(f))
-        assert coloring.class_vertices() == (frozenset({0, 2}), frozenset({1, 3}))
+        assert coloring.assignment == (1, 2, 1, 2)
 
     def test_edge_plus_isolated(self):
         f = parse_forest("3\n0 1")
@@ -618,8 +621,6 @@ class TestColoringClasses:
         message = f"class index {bad} outside 1..3"
         with pytest.raises(ValueError, match=message):
             coloring.sizes()
-        with pytest.raises(ValueError, match=message):
-            coloring.class_vertices()
         with pytest.raises(ValueError, match=message):
             verify(path(3), coloring)
 

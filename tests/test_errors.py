@@ -1,5 +1,6 @@
 """Documented errors and edge returns that no other test reaches, each
-raised through the public function that documents it."""
+raised through the public function that documents it, and the errors of
+the tests' bipartition checker."""
 
 import pytest
 
@@ -19,6 +20,8 @@ from equiforest.generators import SplitMix64
 from equiforest.oracle import oracle_alpha
 from equiforest.stability import stable_set_of_size_min_b
 
+from conftest import check_bipartition
+
 PATH3 = parse_forest("3\n0 1\n1 2")
 
 
@@ -32,11 +35,11 @@ PATH3 = parse_forest("3\n0 1\n1 2")
     (lambda: realize2(PATH3, DecisionReport(k=2, colorable=True, orientation=(True, False))),
      ValueError, "decision report does not match the forest"),
     (lambda: class_sizes(-1, 2), ValueError, "n must be >= 0"),
-    (lambda: Bipartition((True, False), 1, 1).check(PATH3),
+    (lambda: check_bipartition(Bipartition((True, False), 1, 1), PATH3),
      ForestError, "side flags do not cover the vertex set"),
-    (lambda: Bipartition((True, False, True), 1, 2).check(PATH3),
+    (lambda: check_bipartition(Bipartition((True, False, True), 1, 2), PATH3),
      ForestError, "side counts inconsistent with flags"),
-    (lambda: Bipartition((False, True, False), 1, 2).check(PATH3),
+    (lambda: check_bipartition(Bipartition((False, True, False), 1, 2), PATH3),
      ForestError, "side A must be at least as large as side B"),
     (lambda: SplitMix64(0).below(0), ValueError, "bound must be >= 1"),
 ], ids=["verify-k", "coloring-line", "realize2-witness", "realize2-forest",

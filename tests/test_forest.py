@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 
 from equiforest import (
-    Bipartition,
     CycleError,
     Forest,
     ForestError,
@@ -25,10 +24,14 @@ from equiforest.oracle import labeled_trees_in_range, unlabeled_trees
 
 from conftest import (
     all_labeled_forests,
+    bipartition_from_flags,
+    check_bipartition,
     component_profiles,
     forest_from_profile,
     forests,
     seeded_random_forests,
+    side_a,
+    validate_forest,
 )
 from reference_ingest import reference_from_edges
 from reference_side_choice import (
@@ -44,7 +47,7 @@ class TestParse:
         f = parse_forest("3\n0 1\n1 2")
         assert f.n == 3
         assert f.edges == ((0, 1), (1, 2))
-        assert f.num_components == 1
+        assert len(f.sides.first) == 1
 
     def test_single_vertex(self):
         f = parse_forest("1")
@@ -60,7 +63,7 @@ class TestParse:
     def test_comments_and_blank_lines(self):
         f = parse_forest("# header\n\n4  # order\n0 1\n2 3 # tail\n")
         assert f.edges == ((0, 1), (2, 3))
-        assert f.num_components == 2
+        assert len(f.sides.first) == 2
 
     def test_syntax_errors(self):
         with pytest.raises(ParseError):
@@ -110,18 +113,18 @@ class TestBipartition:
     def test_single_edge(self):
         side = select_bipartition(parse_forest("2\n0 1"))
         assert (side.a, side.b) == (1, 1)
-        assert side.side_a() == {0}
+        assert side_a(side) == {0}
 
     def test_edge_plus_isolated_prefers_lexicographic_flip(self):
         # feasibility forces the isolated vertex into A; among the two
         # optima the unflipped first component wins
         side = select_bipartition(parse_forest("3\n0 1"))
-        assert side.side_a() == {0, 2}
+        assert side_a(side) == {0, 2}
         assert (side.a, side.b) == (2, 1)
 
     def test_star_puts_leaves_on_a(self):
         side = select_bipartition(gen_family(FamilySpec("star", (5,))))
-        assert side.side_a() == {1, 2, 3, 4, 5}
+        assert side_a(side) == {1, 2, 3, 4, 5}
         assert side.b == 1
 
     def test_empty_forest(self):
@@ -134,18 +137,18 @@ class TestBipartition:
         # still names the lexicographically first edge
         f = parse_forest("5\n1 2\n2 3\n0 4")
         assert f.parent == (-1, -1, 1, 2, 0)
-        side = Bipartition.from_flags([1, 1, 1, 0, 1])
+        side = bipartition_from_flags([1, 1, 1, 0, 1])
         with pytest.raises(ForestError, match=r"^edge \(0, 4\) does not cross the bipartition$"):
-            side.check(f)
+            check_bipartition(side, f)
         # only the last edge of a path fails
-        side = Bipartition.from_flags([1, 0, 1, 1])
+        side = bipartition_from_flags([1, 0, 1, 1])
         with pytest.raises(ForestError, match=r"^edge \(2, 3\) does not cross the bipartition$"):
-            side.check(parse_forest("4\n0 1\n1 2\n2 3"))
+            check_bipartition(side, parse_forest("4\n0 1\n1 2\n2 3"))
 
     @settings(max_examples=200)
     @given(forests())
     def test_invariants_random(self, f):
-        select_bipartition(f).check(f)
+        check_bipartition(select_bipartition(f), f)
 
     def test_invariants_bulk_random(self):
         # 10^4 seeded random forests, all satisfying both invariants
@@ -153,7 +156,7 @@ class TestBipartition:
             n = 1 + (seed * 2654435761) % 30
             c = 1 + seed % min(4, n)
             f = gen_family(FamilySpec("random_forest", (n, c), seed))
-            select_bipartition(f).check(f)
+            check_bipartition(select_bipartition(f), f)
 
     def test_exhaustive_against_flip_oracle(self):
         # every multiset of component side profiles with n <= 8, compared
@@ -182,7 +185,7 @@ class TestBipartition:
                 for v in (even if flip == 0 else odd):
                     expected_in_a[v] = True
             got = select_bipartition(f)
-            got.check(f)
+            check_bipartition(got, f)
             assert got.in_a == tuple(expected_in_a), (parts, best)
 
     def test_matches_reference_table_dp_on_all_labeled_forests(self):
@@ -280,12 +283,12 @@ class TestStoredSides:
         for name in ("component_id", "sides", "order", "parent"):
             assert name not in repr(f)
         with pytest.raises(ForestError, match="inconsistent"):
-            g.validate()
-        f.validate()
+            validate_forest(g)
+        validate_forest(f)
         rerooted = dataclasses.replace(f, order=(1, 0, 2, 3, 4), parent=(1, -1, 1, -1, 3))
         assert rerooted == f
         with pytest.raises(ForestError, match="inconsistent"):
-            rerooted.validate()
+            validate_forest(rerooted)
 
     def test_edges_are_derived(self):
         f = parse_forest("6\n5 2\n2 0\n4 2\n1 2\n3 5")
@@ -312,16 +315,16 @@ class TestLeavesIn:
         in_a = [False] * 12
         for v in (0, 2, 6, 7, 8):
             in_a[v] = True
-        side = Bipartition.from_flags(in_a)
+        side = bipartition_from_flags(in_a)
         # u1 and u3 have degree 4, so only u2's three leaves qualify
         assert leaves_in(f, side) == {6, 7, 8}
-        assert {v for v in range(12) if f.degree(v) == 1 and in_a[v]} == {6, 7, 8}
+        assert {v for v in range(12) if len(f.adjacency[v]) == 1 and in_a[v]} == {6, 7, 8}
 
 
 class TestValidate:
     def test_validate_accepts_good_forest(self):
-        parse_forest("4\n0 1\n2 3").validate()
+        validate_forest(parse_forest("4\n0 1\n2 3"))
 
     def test_acyclicity_bookkeeping(self):
         f = parse_forest("7\n0 1\n1 2\n3 4\n5 6")
-        assert len(f.edges) == f.n - f.num_components
+        assert len(f.edges) == f.n - len(f.sides.first)

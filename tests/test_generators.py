@@ -18,6 +18,7 @@ from equiforest.generators import (
     random_forest,
 )
 
+from conftest import validate_forest
 from reference_generators import (
     reference_double_star,
     reference_paper3path,
@@ -32,7 +33,7 @@ class TestShapes:
         f = gen_family(FamilySpec("paper3path", (3,)))
         assert f.n == 12
         assert f.max_degree == 5
-        assert f.degree(0) == 4 and f.degree(2) == 4 and f.degree(1) == 5
+        assert len(f.adjacency[0]) == 4 and len(f.adjacency[2]) == 4 and len(f.adjacency[1]) == 5
 
     def test_star(self):
         f = gen_family(FamilySpec("star", (6,)))
@@ -46,23 +47,23 @@ class TestShapes:
     def test_double_star(self):
         f = gen_family(FamilySpec("double_star", (2, 3)))
         assert f.n == 7
-        assert f.degree(0) == 3 and f.degree(1) == 4
+        assert len(f.adjacency[0]) == 3 and len(f.adjacency[1]) == 4
 
     def test_spider(self):
         f = gen_family(FamilySpec("spider", (3, 2)))
         assert f.n == 7
-        assert f.degree(0) == 3
-        assert sorted(f.degree(v) for v in range(1, 7)) == [1, 1, 1, 2, 2, 2]
+        assert len(f.adjacency[0]) == 3
+        assert sorted(len(f.adjacency[v]) for v in range(1, 7)) == [1, 1, 1, 2, 2, 2]
 
     def test_caterpillar(self):
         f = gen_family(FamilySpec("caterpillar", (3, 1, 2, 0)))
         assert f.n == 6
-        assert f.degree(0) == 2 and f.degree(1) == 4 and f.degree(2) == 1
+        assert len(f.adjacency[0]) == 2 and len(f.adjacency[1]) == 4 and len(f.adjacency[2]) == 1
 
     def test_random_forest_component_count(self):
         for seed in range(50):
             f = gen_family(FamilySpec("random_forest", (15, 1 + seed % 5), seed))
-            assert f.num_components == 1 + seed % 5
+            assert len(f.sides.first) == 1 + seed % 5
 
     def test_all_families_validate(self):
         specs = [
@@ -76,7 +77,7 @@ class TestShapes:
             FamilySpec("random_forest", (23, 4), 10),
         ]
         for spec in specs:
-            gen_family(spec).validate()
+            validate_forest(gen_family(spec))
 
     def test_small_leafy_path_warns(self):
         with pytest.warns(UserWarning):

@@ -29,6 +29,8 @@ from equiforest.oracle import (
     unlabeled_trees,
 )
 
+from conftest import validate_forest
+
 # OEIS A000055: trees on n unlabeled vertices, n = 1..16
 A000055 = (1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159, 7741, 19320)
 
@@ -74,8 +76,8 @@ class TestUnlabeledTrees:
             count = 0
             for forest in unlabeled_trees(n):
                 if n <= 12:
-                    forest.validate()
-                    assert forest.n == n and forest.num_components == 1
+                    validate_forest(forest)
+                    assert forest.n == n and len(forest.sides.first) == 1
                 count += 1
             assert count == expected, n
 
@@ -257,7 +259,7 @@ class TestSuites:
         trees = unique_max = 0
         for n in range(3, 7):
             for f in labeled_trees_in_range(n):
-                degrees = [f.degree(v) for v in range(n)]
+                degrees = list(map(len, f.adjacency))
                 trees += 1
                 unique_max += degrees.count(max(degrees)) == 1
         assert (trees, unique_max) == (1440, 918)

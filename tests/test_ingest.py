@@ -156,11 +156,15 @@ class TestFromEdges:
         assert stored(Forest.from_edges(4, [[0, 1], [3, 1]])) == expected
 
     def test_item_that_is_not_a_pair_is_a_forest_error(self):
-        # the first such item in input order is named; a defect before it
-        # comes first, as any earlier defect does
+        # the first such item in input order is named, also one without a
+        # length or with an id that is no int; a defect before it comes
+        # first, as any earlier defect does
         for pairs, named in (([(0, 1, 2)], "(0, 1, 2)"), ([(0,)], "(0,)"),
                              ([(0, 1), (2,)], "(2,)"), ([(0,), (1, 2, 3)], "(0,)"),
-                             ([[0, 1], [1, 2, 0]], "(1, 2, 0)"), ([(0, 1), ()], "()")):
+                             ([[0, 1], [1, 2, 0]], "(1, 2, 0)"), ([(0, 1), ()], "()"),
+                             ([5], "5"), ([None], "None"), ([(0, 1), 5], "5"),
+                             (["ab"], "'ab'"), ([(0, "x")], "(0, 'x')"),
+                             ([(0, 1.0)], "(0, 1.0)"), ([(0, 1), 5, (0,)], "5")):
             with pytest.raises(ForestError) as exc:
                 Forest.from_edges(3, pairs)
             assert type(exc.value) is ForestError
@@ -169,6 +173,8 @@ class TestFromEdges:
             Forest.from_edges(3, [(0, 3), (1,)])
         with pytest.raises(CycleError):
             Forest.from_edges(3, [(0, 1), (1, 2), (2, 0), (1, 0, 2)])
+        with pytest.raises(CycleError, match=r"^cycle closed by edge \(0, 2\)$"):
+            Forest.from_edges(3, [(0, 1), (1, 2), (0, 2), 5])
 
     def test_neighbours_in_increasing_order(self):
         f = Forest.from_edges(6, [(5, 2), (2, 0), (4, 2), (1, 2), (3, 5)])

@@ -25,6 +25,7 @@ from conftest import (
     brute_alpha_x,
     brute_equitable_exists,
     seeded_random_forests,
+    validate_forest,
 )
 
 
@@ -50,16 +51,16 @@ class TestEnumeration:
         for n in range(1, 7):
             seen = set()
             for f in labeled_trees_in_range(n):
-                f.validate()
-                assert f.n == n and f.num_components == 1
+                validate_forest(f)
+                assert f.n == n and len(f.sides.first) == 1
                 seen.add(f.edges)
             assert len(seen) == num_labeled_trees(n)
 
     def test_large_level_spot_validation(self):
         for i, f in enumerate(labeled_trees_in_range(7)):
             if i % 97 == 0:
-                f.validate()
-                assert f.num_components == 1
+                validate_forest(f)
+                assert len(f.sides.first) == 1
 
     def test_range_sharding_partitions_the_space(self):
         n = 6

@@ -73,8 +73,8 @@ def test_inputs_have_the_intended_shapes():
     assert {name: f.n for name, f in forests.items()} == {
         "path": 5_000, "caterpillar": 5_000 - 2, "random_tree": 5_000,
         "harvest": 5_000, "random_forest-half": 5_000, "random_forest-edgeless": 5_000}
-    assert forests["random_forest-half"].num_components == 2_500
-    assert forests["random_forest-edgeless"].num_components == 5_000
+    assert len(forests["random_forest-half"].sides.first) == 2_500
+    assert len(forests["random_forest-edgeless"].sides.first) == 5_000
 
 
 def test_parse_digests_unchanged():

@@ -4,15 +4,13 @@ import pytest
 from hypothesis import given, settings
 
 from equiforest import (
-    Bipartition,
     alpha,
     alpha_profile,
     alpha_x,
     labeled_trees_in_range,
     lower_bound,
     major_vertex_check,
-    max_stable_set,
-    max_stable_set_containing,
+    oracle_alpha,
     oracle_alpha_x,
     parse_forest,
     select_bipartition,
@@ -22,10 +20,12 @@ from equiforest.generators import FamilySpec, gen_family
 
 from conftest import (
     all_labeled_forests,
+    bipartition_from_flags,
     brute_min_overlap,
     forests,
     leaf_heavy_forest,
     seeded_random_forests,
+    side_b,
 )
 from reference_stability import (
     reference_alpha,
@@ -58,16 +58,21 @@ class TestAlpha:
     def test_witness_is_stable_and_maximum(self):
         for f in (path(5), star(6), parse_forest("4"),
                   gen_family(FamilySpec("paper3path", (3,)))):
-            witness = max_stable_set(f)
+            witness = reference_max_stable_set(f)
             assert is_stable(f, witness)
             assert len(witness) == alpha(f)
 
     @settings(max_examples=150)
     @given(forests(max_n=60))
     def test_witness_random(self, f):
-        witness = max_stable_set(f)
+        witness = reference_max_stable_set(f)
         assert is_stable(f, witness)
         assert len(witness) == alpha(f)
+
+    def test_against_oracle_on_all_labeled_forests(self):
+        for n in range(8):
+            for f in all_labeled_forests(n):
+                assert alpha(f) == oracle_alpha(f), f
 
     def test_half_order_bound_exhaustive(self):
         # stability of a forest is at least half its order, every tree n <= 8
@@ -90,14 +95,6 @@ class TestAlphaX:
     def test_bad_vertex(self):
         with pytest.raises(ValueError):
             alpha_x(path(3), 5)
-
-    def test_witness(self):
-        for f in (path(5), star(6), gen_family(FamilySpec("paper3path", (4,)))):
-            for x in range(f.n):
-                witness = max_stable_set_containing(f, x)
-                assert x in witness
-                assert is_stable(f, witness)
-                assert len(witness) == alpha_x(f, x)
 
     def test_against_independent_enumeration_small(self):
         # full sweep over labeled trees n <= 7, every vertex
@@ -130,23 +127,14 @@ class TestAgainstPerVertexReference:
         assert alpha_profile(f) == expected, f
         assert [alpha_x(f, x) for x in range(f.n)] == expected, f
         assert alpha(f) == reference_alpha(f), f
-        assert max_stable_set(f) == reference_max_stable_set(f), f
         assert lower_bound(f) == reference_lower_bound(f), f
         if f.n:
             assert major_vertex_check(f) == reference_major_vertex_check(f), f
-        return expected
 
     def test_all_labeled_forests(self):
         for n in range(8):
             for f in all_labeled_forests(n):
-                expected = self.check(f)
-                # forcing x in may break ties differently from the old
-                # masked walk, so only the witness's defining properties
-                # are pinned
-                for x in range(n):
-                    witness = max_stable_set_containing(f, x)
-                    assert x in witness and is_stable(f, witness)
-                    assert len(witness) == expected[x]
+                self.check(f)
 
     def test_seeded_random_forests(self):
         for f in seeded_random_forests():
@@ -205,19 +193,19 @@ class TestMajorVertex:
 class TestMinOverlapStableSet:
     def test_path3_center(self):
         f = path(3)
-        side = Bipartition.from_flags([True, False, True])
+        side = bipartition_from_flags([True, False, True])
         got = stable_set_of_size_min_b(f, 1, 1, side)
         assert got == {1}
 
     def test_star_center_has_no_pair(self):
         f = gen_family(FamilySpec("star", (4,)))
         side = select_bipartition(f)  # B = {center}
-        assert side.side_b() == {0}
+        assert side_b(side) == {0}
         assert stable_set_of_size_min_b(f, 0, 2, side) is None
 
     def test_path5_no_triple_through_3(self):
         f = path(5)
-        side = Bipartition.from_flags([True, False, True, False, True])
+        side = bipartition_from_flags([True, False, True, False, True])
         assert stable_set_of_size_min_b(f, 3, 3, side) is None
 
     def test_validates_inputs(self):
@@ -304,7 +292,7 @@ class TestPivotKernelAgainstReference:
             f = leaf_heavy_forest(seed)
             side = select_bipartition(f)
             sizes = sorted({f.n // k for k in range(3, 9)} - {0})
-            for v in sorted(side.side_b()):
+            for v in sorted(side_b(side)):
                 for size in sizes:
                     overlaps.append(self.check(f, v, size, side))
         assert max(x for x in overlaps if x is not None) >= 4
