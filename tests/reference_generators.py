@@ -10,6 +10,11 @@ more vertices.  ``reference_star``, ``reference_double_star`` and
 ``double_star`` and ``paper3path`` now call ``caterpillar``;
 ``reference_random_tree`` decodes its own Prufer word, where
 ``random_tree`` now calls ``random_forest`` with c = 1.
+``reference_random_forest`` also draws one ``next64`` at a time and
+collects edge pairs, where ``random_forest`` draws in blocks and decodes
+into one id run; ``reference_path``, ``reference_spider`` and
+``reference_caterpillar`` collect edge pairs, where ``path``, ``spider``
+and ``caterpillar`` build one id run.
 """
 
 from __future__ import annotations
@@ -37,6 +42,40 @@ def reference_random_forest(n: int, c: int, seed: int) -> Forest:
             word = [rng.below(size) for _ in range(size - 2)]
             edges.extend((lo + u, lo + v) for u, v in decode_prufer(size, word))
     return Forest.from_edges(n, edges)
+
+
+def reference_path(n: int) -> Forest:
+    if n < 0:
+        raise ValueError("path needs n >= 0")
+    return Forest.from_edges(n, ((i, i + 1) for i in range(n - 1)))
+
+
+def reference_spider(legs: int, length: int) -> Forest:
+    """Center 0 with `legs` disjoint paths of `length` vertices attached."""
+    if legs < 0 or length < 1:
+        raise ValueError("spider needs legs >= 0 and length >= 1")
+    edges = []
+    nxt = 1
+    for _ in range(legs):
+        prev = 0
+        for _ in range(length):
+            edges.append((prev, nxt))
+            prev = nxt
+            nxt += 1
+    return Forest.from_edges(nxt, edges)
+
+
+def reference_caterpillar(spine: int, leaf_counts) -> Forest:
+    """Path 0..spine-1 with leaf_counts[i] leaves hanging off vertex i."""
+    leaf_counts = tuple(leaf_counts)
+    if spine < 1 or len(leaf_counts) != spine or any(c < 0 for c in leaf_counts):
+        raise ValueError("caterpillar needs spine >= 1 and one count per spine vertex")
+    edges = [(i, i + 1) for i in range(spine - 1)]
+    nxt = spine
+    for i, count in enumerate(leaf_counts):
+        edges.extend((i, leaf) for leaf in range(nxt, nxt + count))
+        nxt += count
+    return Forest.from_edges(nxt, edges)
 
 
 def reference_star(d: int) -> Forest:

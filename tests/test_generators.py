@@ -2,6 +2,7 @@
 
 import warnings
 from collections import Counter
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -20,10 +21,13 @@ from equiforest.generators import (
 
 from conftest import validate_forest
 from reference_generators import (
+    reference_caterpillar,
     reference_double_star,
     reference_paper3path,
+    reference_path,
     reference_random_forest,
     reference_random_tree,
+    reference_spider,
     reference_star,
 )
 
@@ -136,27 +140,82 @@ class TestReferenceRandomForest:
             assert vars(random_forest(2_000, c, seed)) == vars(
                 reference_random_forest(2_000, c, seed)), (c, seed)
 
+    @pytest.mark.parametrize("c", [2, 5_000, 9_999])
+    def test_block_edges_and_cut_tail(self, c):
+        # n = 10^4 draws several whole blocks of cuts or Prufer entries,
+        # and at c = n - 1 reads most of its cuts in the tail
+        for seed in range(3):
+            assert vars(random_forest(10_000, c, seed)) == vars(
+                reference_random_forest(10_000, c, seed)), (c, seed)
+
     def test_edgeless_forest_draws_nothing(self, monkeypatch):
-        def no_draw(self):
+        def no_draw(self, *args):
             raise AssertionError("random_forest drew at c = n")
 
         monkeypatch.setattr(SplitMix64, "next64", no_draw)
+        monkeypatch.setattr(SplitMix64, "blocks", no_draw)
         for seed in range(5):
             assert vars(random_forest(50, 50, seed)) == vars(Forest.from_edges(50, ()))
 
     def test_two_vertex_components_skip_decoding(self, monkeypatch):
         sizes = []
-        real = generators.decode_prufer
+        real = generators._decode_prufer_into
 
-        def counted(size, word):
+        def counted(leaves, degree, lo, size, words):
             sizes.append(size)
-            return real(size, word)
+            return real(leaves, degree, lo, size, words)
 
-        monkeypatch.setattr(generators, "decode_prufer", counted)
+        monkeypatch.setattr(generators, "_decode_prufer_into", counted)
         f = random_forest(60, 25, 4)
         assert vars(f) == vars(reference_random_forest(60, 25, 4))
-        assert 2 in Counter(f.component_id).values()
-        assert sizes and 2 not in sizes
+        component_sizes = Counter(f.component_id).values()
+        assert 2 in component_sizes
+        assert sorted(sizes) == sorted(s for s in component_sizes if s > 2)
+
+
+class TestSplitMix64Blocks:
+    """``blocks`` against as many ``next64`` calls: the same outputs in
+    the same order, and the same state after."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+    @pytest.mark.parametrize("count", [0, 1, 4095, 4096, 4097, 3 * 4096 + 7])
+    def test_matches_next64(self, seed, count):
+        bulk, single = SplitMix64(seed), SplitMix64(seed)
+        blocks = list(bulk.blocks(count))
+        assert [len(b) for b in blocks] == [4096] * (count // 4096) + (
+            [count % 4096] if count % 4096 else [])
+        assert [x for b in blocks for x in b] == [single.next64() for _ in range(count)]
+        assert bulk.state == single.state
+        assert bulk.next64() == single.next64()
+
+    def test_seed_is_read_modulo_2_to_the_64(self):
+        assert SplitMix64(-1).state == SplitMix64(2**64 - 1).state == 2**64 - 1
+        assert gen_family(parse_family("family:random_tree:50,-1")) == gen_family(
+            parse_family("family:random_tree:50,18446744073709551615"))
+
+
+class TestReferenceShapes:
+    """``path``, ``spider`` and ``caterpillar``, which build one id run,
+    against their edge-pair loops as they were: every field equal, or
+    the same ValueError."""
+
+    def test_path(self):
+        for n in range(-1, 41):
+            assert _outcome(generators.path, n) == _outcome(reference_path, n), n
+
+    def test_spider(self):
+        for legs in range(-1, 9):
+            for length in range(-1, 9):
+                assert _outcome(generators.spider, legs, length) == _outcome(
+                    reference_spider, legs, length), (legs, length)
+
+    def test_caterpillar(self):
+        for spine in range(0, 5):
+            for counts in product(range(-1, 4), repeat=spine):
+                assert _outcome(generators.caterpillar, spine, counts) == _outcome(
+                    reference_caterpillar, spine, counts), (spine, counts)
+        assert _outcome(generators.caterpillar, 2, (1,)) == _outcome(
+            reference_caterpillar, 2, (1,))
 
 
 def _outcome(build, *args):
